@@ -1058,25 +1058,6 @@ def resultant(f: LaurentPolynomial, g: LaurentPolynomial,
 # multivariate gcd
 
 
-def _content_and_primitive(f: LaurentPolynomial, var: int):
-    coeffs = f.coefficients_in(var)
-    items = sorted(coeffs.items())
-    cont = None
-    for _, c in items:
-        cont = c if cont is None else multivariate_gcd(cont, c)
-        if cont.is_unit():
-            break
-    pp = {}
-    for k, c in items:
-        if cont.is_unit():
-            pp[k] = c
-        else:
-            q = c.divide_exact(cont)
-            assert q is not None
-            pp[k] = q
-    return cont, pp
-
-
 def _pseudo_remainder(fc: dict, gc: dict):
     # pseudo-remainder of univariate polynomials with Laurent-poly
     # coefficients, as exponent->coefficient dicts in the main variable
@@ -1126,12 +1107,12 @@ def multivariate_gcd(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolyn
         # main variable missing from one input: gcd divides the contents
         fng = f if not any(e[var] for e in f.terms) else g
         other = g if fng is f else f
-        cont, _ = _content_and_primitive(other, var)
+        cont, _ = _content_and_primitive(other.coefficients_in(var))
         missing = fng
         red_a = _drop_and_gcd(missing, cont, var)
         return red_a
-    cont_f, ppf = _content_and_primitive(f, var)
-    cont_g, ppg = _content_and_primitive(g, var)
+    cont_f, ppf = _content_and_primitive(f.coefficients_in(var))
+    cont_g, ppg = _content_and_primitive(g.coefficients_in(var))
     cont = multivariate_gcd(cont_f, cont_g) if not (cont_f.is_unit() or cont_g.is_unit()) \
         else LaurentPolynomial.constant(f.nvars - 1, 1)
     a, b = ppf, ppg
@@ -1144,10 +1125,10 @@ def multivariate_gcd(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolyn
         if max(r) == 0:
             b = {0: LaurentPolynomial.constant(f.nvars - 1, 1)}
             break
-        _, r = _content_and_primitive_dict(r, f.nvars)
+        _, r = _content_and_primitive(r)
         a, b = b, r
     # primitive part of the final b
-    _, b = _content_and_primitive_dict(b, f.nvars)
+    _, b = _content_and_primitive(b)
     result = LaurentPolynomial.zero(f.nvars)
     for k, c in b.items():
         result = result + c.insert_variable(var) * \
@@ -1158,7 +1139,12 @@ def multivariate_gcd(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolyn
     return out
 
 
-def _content_and_primitive_dict(coeff_dict, nv):
+def _content_and_primitive(coeff_dict):
+    """(content, primitive part) of a polynomial in one main variable,
+    given as a dict from exponents to coefficients (polynomials in the
+    other variables, as `coefficients_in` returns them): the content is
+    a gcd of the coefficients, and the primitive part the dict of
+    coefficients divided by it."""
     cont = None
     for _, c in sorted(coeff_dict.items()):
         cont = c if cont is None else multivariate_gcd(cont, c)
@@ -1169,13 +1155,17 @@ def _content_and_primitive_dict(coeff_dict, nv):
     out = {}
     for k, c in coeff_dict.items():
         q = c.divide_exact(cont)
-        assert q is not None
+        if q is None:
+            raise RuntimeError("internal error: content does not divide "
+                               "a coefficient")
         out[k] = q
     return cont, out
 
 
 def _drop_and_gcd(missing: LaurentPolynomial, cont: LaurentPolynomial, var: int):
     m = missing.coefficients_in(var)
-    assert set(m) == {0}
+    if set(m) != {0}:
+        raise RuntimeError("internal error: polynomial involves the "
+                           "dropped variable")
     g = multivariate_gcd(m[0], cont)
     return g.insert_variable(var)

@@ -35,6 +35,7 @@ from .lattices import (
 )
 from .poly import (
     LaurentPolynomial,
+    _content_and_primitive,
     cyclotomic_roots,
     multivariate_gcd,
     resultant,
@@ -355,10 +356,23 @@ def auxiliary_polynomials(f: LaurentPolynomial):
     2 deg f, each sharing no factor with f, such that every torsion
     coset of H(f) lies on one of their hypersurfaces.
 
-    Returns ("aux", polynomials); when a nontrivial common factor with f
-    shows up instead, returns ("split", factor) so the caller can split
-    f and recurse."""
+    Coprimality is decided by elimination of the last variable X_var,
+    var = n - 1.  A content of f with respect to X_var (the gcd of its
+    coefficients, polynomials in the other variables) that is not a
+    unit is returned at once as ("split", content).  For primitive f, a
+    candidate shares a factor with f exactly when its resultant with f
+    in X_var is zero; only then is the gcd computed, and it either
+    splits f or shows the candidate to be a multiple of f, which is
+    dropped.
+
+    Returns ("aux", [(candidate, resultant), ...]), or ("split", factor)
+    with a nontrivial factor of f so the caller can split f and
+    recurse."""
     n = f.nvars
+    var = n - 1
+    content, _ = _content_and_primitive(f.coefficients_in(var))
+    if not content.is_unit():
+        return "split", content.insert_variable(var)
     level = _coefficient_level(f)
     sign_choices = list(itertools.product((1, -1), repeat=n))
     raw: list[LaurentPolynomial] = []
@@ -374,18 +388,23 @@ def auxiliary_polynomials(f: LaurentPolynomial):
         twisted = _galois_twist(f, lambda d: 2 % d)
         for eps in sign_choices:
             raw.append(twisted.sign_variant(eps).stretch_exponents(2))
-    else:
-        assert level % 4 == 0
+    elif level % 4 == 0:
         t = level // 2 + 1
         twisted = _galois_twist(f, lambda d: t % d)
         for eps in sign_choices:
             raw.append(twisted.sign_variant(eps))
+    else:
+        raise RuntimeError(f"internal error: minimal level {level} is 2 mod 4")
     kept = []
     for cand in raw:
+        res = resultant(f, cand, var)
+        if not res.is_zero():
+            kept.append((cand, res))
+            continue
         g = multivariate_gcd(f, cand)
         if g.is_unit():
-            kept.append(cand)
-            continue
+            raise RuntimeError("internal error: zero resultant of a "
+                               "candidate coprime to a primitive f")
         quot = f.divide_exact(g)
         if quot is not None and not quot.is_unit():
             return "split", g
@@ -457,28 +476,16 @@ def _solve_full_lattice(f: LaurentPolynomial, stats: SolveStats,
     kind, aux = auxiliary_polynomials(f)
     if kind == "split":
         stats.splits += 1
-        g = aux
-        h = f.divide_exact(g)
-        assert h is not None
-        return (_solve_hypersurface(g, stats, depth + 1)
+        h = f.divide_exact(aux)
+        if h is None:
+            raise RuntimeError("internal error: split factor does not divide f")
+        return (_solve_hypersurface(aux, stats, depth + 1)
                 + _solve_hypersurface(h, stats, depth + 1))
     var = n - 1
     candidates: dict = {}
     seen_resultants: set = set()
-    for fk in aux:
-        fk0, _ = fk.strip_monomial_content()
-        assert fk0.degree_in(var) > 0
-        gk = resultant(f, fk0, var)
-        stats.resultants += 1
-        if gk.is_zero():
-            # unexpected common factor; split defensively
-            g = multivariate_gcd(f, fk0)
-            quot = f.divide_exact(g) if not g.is_unit() else None
-            if quot is not None and not quot.is_unit():
-                stats.splits += 1
-                return (_solve_hypersurface(g, stats, depth + 1)
-                        + _solve_hypersurface(quot, stats, depth + 1))
-            continue
+    stats.resultants += len(aux)
+    for _, gk in aux:
         gk, _ = gk.strip_monomial_content()
         if gk.is_unit():
             continue

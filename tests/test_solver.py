@@ -1,11 +1,20 @@
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from torsioncosets.arith import CyclotomicNumber, RootOfUnity, TorsionPoint
+from torsioncosets import solver
+from torsioncosets.arith import (
+    CyclotomicNumber,
+    RootOfUnity,
+    TorsionPoint,
+    euler_phi,
+)
 from torsioncosets.cosets import TorsionCoset
 from torsioncosets.lattices import IntegerLattice, identity_matrix
+from torsioncosets.oracle import cross_check
 from torsioncosets.poly import LaurentPolynomial, multivariate_gcd
 from torsioncosets.solver import (
     auxiliary_polynomials,
@@ -153,7 +162,7 @@ def test_auxiliary_polynomials_rational():
     kind, aux = auxiliary_polynomials(f)
     assert kind == "aux"
     assert len(aux) == 7  # 3 sign variants + 4 squared variants
-    for p in aux:
+    for p, _ in aux:
         work, _ = p.strip_monomial_content()
         assert work.total_degree() <= 2 * f.total_degree()
         assert multivariate_gcd(f, p).is_unit()
@@ -169,8 +178,8 @@ def test_auxiliary_polynomials_gaussian():
     # dropped; the other six survive
     assert len(aux) == 6
     tau_image = poly2({(1, 0): 1, (0, 1): 1, (0, 0): z4})
-    assert any(p == tau_image for p in aux)
-    for p in aux:
+    assert any(p == tau_image for p, _ in aux)
+    for p, _ in aux:
         assert multivariate_gcd(f, p).is_unit()
     # the solver's normalization sends this f to level 1 anyway
     _, n, _ = minimal_level_normalize(f)
@@ -183,14 +192,119 @@ def test_auxiliary_polynomials_odd_level():
     kind, aux = auxiliary_polynomials(f)
     assert kind == "aux"
     assert 1 <= len(aux) <= 7
-    for p in aux:
+    for p, _ in aux:
         assert multivariate_gcd(f, p).is_unit()
     # the squared variants carry sigma: z3 -> z3^2
-    squared = [p for p in aux if p.total_degree() == 2]
+    squared = [p for p, _ in aux if p.total_degree() == 2]
     assert squared
     for p in squared:
         consts = [c for e, c in p.terms.items() if not any(e)]
         assert consts and consts[0] == CyclotomicNumber.zeta(3, 2)
+
+
+def _auxiliary_by_gcd(f):
+    # reference for auxiliary_polynomials: the twisted family built
+    # afresh, each candidate tested for coprimality by multivariate_gcd
+    n = f.nvars
+    level = 1
+    for c in f.terms.values():
+        level = lcm(level, c.minimal_level().level)
+
+    def twisted(k):
+        return f.map_coefficients(
+            lambda c: c if c.level == 1 else c.galois(k % c.level))
+
+    signs = list(itertools.product((1, -1), repeat=n))
+    raw = [f.sign_variant(eps) for eps in signs[1:]]
+    if level == 1:
+        raw += [f.sign_variant(eps).stretch_exponents(2) for eps in signs]
+    elif level % 2:
+        raw += [twisted(2).sign_variant(eps).stretch_exponents(2)
+                for eps in signs]
+    else:
+        raw += [twisted(level // 2 + 1).sign_variant(eps) for eps in signs]
+    kept = []
+    for cand in raw:
+        g = multivariate_gcd(f, cand)
+        if g.is_unit():
+            kept.append(cand)
+            continue
+        quot = f.divide_exact(g)
+        if quot is not None and not quot.is_unit():
+            return "split", g
+    return "aux", kept
+
+
+def _random_normalized_full_lattice(rng, n, level):
+    while True:
+        terms = {}
+        for _ in range(rng.randint(3, 4)):
+            e = tuple(rng.randint(0, 2) for _ in range(n))
+            c = CyclotomicNumber(level, [rng.randint(-2, 2)
+                                         for _ in range(euler_phi(level))])
+            if not c.is_zero():
+                terms[e] = c
+        f = L(n, terms)
+        # the normalization keeps the support, so test the lattice first
+        if len(f.terms) > 1 and f.exponent_lattice() == IntegerLattice.full(n):
+            return minimal_level_normalize(f)[2]
+
+
+def test_auxiliary_polynomials_matches_gcd_reference():
+    rng = random.Random(20260417)
+    inputs = []
+    for i in range(40):
+        level = (1, 3, 4, 8, 12)[i % 5]
+        n = 3 if level in (1, 3, 4) and i % 2 else 2
+        inputs.append(_random_normalized_full_lattice(rng, n, level))
+    # a common factor found by a zero resultant: f(x, -y) keeps x + y^2 + 2
+    inputs.append(poly2({(1, 0): 1, (0, 1): 1, (0, 0): 1})
+                  * poly2({(1, 0): 1, (0, 2): 1, (0, 0): 2}))
+    # a candidate that is a multiple of f, dropped by both
+    inputs.append(poly2({(1, 0): 1, (0, 1): 1, (0, 0): -z4}))
+    for f in inputs:
+        kind, aux = auxiliary_polynomials(f)
+        ref_kind, ref_aux = _auxiliary_by_gcd(f)
+        assert kind == ref_kind, f
+        if kind == "aux":
+            assert [p for p, _ in aux] == ref_aux, f
+            assert not any(res.is_zero() for _, res in aux)
+        else:
+            assert not aux.is_unit()
+            quot = f.divide_exact(aux)
+            assert quot is not None and not quot.is_unit()
+
+
+def test_auxiliary_polynomials_splits_off_content():
+    # content in X_var: x^2 + 3x + 1 has no torsion roots, so the
+    # binomial strip keeps it and L(f) = Z^2
+    content = poly2({(2, 0): 1, (1, 0): 3, (0, 0): 1})
+    f = content * poly2({(1, 2): 1, (0, 1): 1, (0, 0): 1})
+    assert auxiliary_polynomials(f) == ("split", content)
+    rep = hypersurface_cosets(f)
+    assert rep.stats.splits == 1
+    assert cross_check(rep, [f], 16).passed
+
+
+def test_g2_draw_138_needs_no_gcd(monkeypatch):
+    # draw #138 of the criterion-6 generator: its coprimality gcds took
+    # tens of seconds, while the resultants decide coprimality at once
+    i = z4
+    f = poly2({(4, 4): -3 - 2 * i, (3, 3): 2 + 2 * i, (3, 0): 2 + i,
+               (0, 4): -3 + 3 * i, (0, 2): 2 + 2 * i})
+    g = poly2({(4, 3): -2 - i, (3, 3): -3 * i, (1, 3): -2 * i,
+               (0, 4): -2})
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return multivariate_gcd(a, b)
+
+    monkeypatch.setattr(solver, "multivariate_gcd", counting_gcd)
+    rep = variety_cosets([f, g])
+    assert rep.cosets == []
+    assert cross_check(rep, [f, g], 20).passed
+    assert calls == []
 
 
 def test_hypersurface_fermat_line():
