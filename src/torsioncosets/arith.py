@@ -637,7 +637,3 @@ class TorsionPoint:
 
     def __repr__(self):
         return "(" + ", ".join(str(c.exponent) for c in self.coords) + ")"
-
-
-def point_power(point: TorsionPoint, v) -> RootOfUnity:
-    return point.power(v)

@@ -495,8 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", default="-",
                        help="input file (default: stdin)")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; solver output is order-independent")
         p.add_argument("--budget", type=int, default=2_000_000,
                        help="work budget for search/verification steps")
 
@@ -528,9 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be positive", file=sys.stderr)
-        return EXIT_PARSE_ERROR
     try:
         return args.func(args)
     except ParseError as exc:

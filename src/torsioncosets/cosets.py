@@ -82,9 +82,6 @@ class TorsionCoset:
     def dimension(self) -> int:
         return self.ambient - self.lattice.rank
 
-    def is_point(self) -> bool:
-        return self.dimension == 0
-
     def canonical_key(self):
         """Invariant under the choice of representative point and of the
         lattice basis: the HNF rows together with the pairing values
@@ -156,10 +153,6 @@ class TorsionCoset:
                 f"lattice={list(map(list, self.lattice.rows))})")
 
 
-def canonicalize(coset: TorsionCoset):
-    return coset.canonical_key()
-
-
 def maximal_filter(cosets) -> list[TorsionCoset]:
     """Deduplicate by canonical key and drop every coset strictly
     contained in another one; the output is sorted by (dimension, key)
@@ -176,10 +169,6 @@ def maximal_filter(cosets) -> list[TorsionCoset]:
         if not contained:
             kept.append(c)
     return kept
-
-
-def lies_on_variety(coset: TorsionCoset, polys) -> bool:
-    return coset.lies_on(polys)
 
 
 class CongruenceSolutionSet:

@@ -47,25 +47,10 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum(c * x for c, x in zip(row, v)) for row in a]
-
-
 def transpose(a):
     if not a:
         return []
     return [[row[i] for row in a] for i in range(len(a[0]))]
-
-
-def vec_mat(v, a):
-    n = len(a[0]) if a else 0
-    out = [0] * n
-    for c, row in zip(v, a):
-        if c:
-            for j in range(n):
-                if row[j]:
-                    out[j] += c * row[j]
-    return out
 
 
 def determinant(m) -> int:

@@ -91,12 +91,6 @@ class LaurentPolynomial:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def constant_coefficient(self) -> CyclotomicNumber:
-        return self.terms.get((0,) * self.nvars, CyclotomicNumber.zero())
-
     def support(self):
         return set(self.terms)
 
@@ -325,13 +319,6 @@ class LaurentPolynomial:
         out = {e[:var] + (0,) + e[var:]: c for e, c in self.terms.items()}
         return LaurentPolynomial(self.nvars + 1, out)
 
-    def drop_variable(self, var: int) -> "LaurentPolynomial":
-        """Remove an unused variable position."""
-        if any(e[var] for e in self.terms):
-            raise ValueError("variable occurs in the polynomial")
-        out = {e[:var] + e[var + 1:]: c for e, c in self.terms.items()}
-        return LaurentPolynomial(self.nvars - 1, out)
-
     def evaluate(self, point: TorsionPoint) -> CyclotomicNumber:
         """Exact value at a torsion point."""
         total = CyclotomicNumber.zero()
@@ -365,13 +352,6 @@ class LaurentPolynomial:
             rest = e[:var] + e[var + 1:]
             out.setdefault(e[var], {})[rest] = c
         return {k: LaurentPolynomial(self.nvars - 1, t) for k, t in out.items()}
-
-    def from_coefficients_in(self, var: int, coeffs) -> "LaurentPolynomial":
-        out = {}
-        for k, poly in coeffs.items():
-            for e, c in poly.terms.items():
-                out[e[:var] + (k,) + e[var:]] = c
-        return LaurentPolynomial(self.nvars, out)
 
     # ---- divisibility ----------------------------------------------------
 
@@ -623,7 +603,9 @@ def squarefree_part(f: LaurentPolynomial) -> LaurentPolynomial:
     if len(g) == 1:
         return _from_dense(a)
     q, r = _dense_divmod(a, g)
-    assert not r
+    if r:
+        raise RuntimeError("internal error: the gcd with the derivative "
+                           "does not divide the polynomial")
     return _from_dense(q)
 
 
@@ -844,77 +826,9 @@ def _scalar_resultant(a, b):
         a, b = b, rt
 
 
-def _dense_eval_fraction(a, t: Fraction) -> CyclotomicNumber:
-    acc = CyclotomicNumber.zero()
-    for c in reversed(a):
-        acc = acc * t + c
-    return acc
-
-
-def _resultant_bivariate(f: LaurentPolynomial, g: LaurentPolynomial,
-                         var: int) -> LaurentPolynomial:
-    # evaluation / interpolation in the surviving variable; exact since
-    # evaluation points with nonvanishing leading coefficients preserve
-    # the shape of the Sylvester matrix
-    other = 1 - var
-    fc = {k: _to_dense_nonneg(p) for k, p in f.coefficients_in(var).items()}
-    gc = {k: _to_dense_nonneg(p) for k, p in g.coefficients_in(var).items()}
-    p = max(fc)
-    q = max(gc)
-    deg_f_other = max(e[other] for e in f.terms)
-    deg_g_other = max(e[other] for e in g.terms)
-    dmax = p * deg_g_other + q * deg_f_other
-    lead_f = fc[p]
-    lead_g = gc[q]
-
-    def specialize(coeffs, top, t):
-        dense = [CyclotomicNumber.zero() for _ in range(top + 1)]
-        for k, cs in coeffs.items():
-            dense[k] = _dense_eval_fraction(cs, t)
-        return _dense_trim(dense)
-
-    points: list[Fraction] = []
-    values: list[CyclotomicNumber] = []
-    t_int = 0
-    while len(points) <= dmax:
-        t = Fraction(t_int)
-        t_int = -t_int + (1 if t_int <= 0 else 0)
-        if _dense_eval_fraction(lead_f, t).is_zero():
-            continue
-        if _dense_eval_fraction(lead_g, t).is_zero():
-            continue
-        fa = specialize(fc, p, t)
-        ga = specialize(gc, q, t)
-        points.append(t)
-        values.append(_scalar_resultant(fa, ga))
-    # Newton interpolation
-    coeffs = list(values)
-    for j in range(1, len(points)):
-        for i in range(len(points) - 1, j - 1, -1):
-            diff = Fraction(1, 1) / (points[i] - points[i - j])
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) * diff
-    result = []
-    basis = [Fraction(1)]
-    acc = [CyclotomicNumber.zero() for _ in range(len(points))]
-    for j, c in enumerate(coeffs):
-        if not c.is_zero():
-            for i, bval in enumerate(basis):
-                if bval:
-                    acc[i] = acc[i] + c * bval
-        if j + 1 < len(points):
-            # basis *= (x - points[j])
-            new = [Fraction(0)] * (len(basis) + 1)
-            for i, bval in enumerate(basis):
-                new[i + 1] += bval
-                new[i] -= bval * points[j]
-            basis = new
-    result = _dense_trim(acc)
-    return _from_dense(result)
-
-
 def _resultant_interpolated(f: LaurentPolynomial, g: LaurentPolynomial,
                             var: int) -> LaurentPolynomial:
-    """Resultant for three or more variables: specialize one surviving
+    """Resultant for two or more variables: specialize one surviving
     variable at rational points, recurse into the raw dispatcher, and
     Newton-interpolate the polynomial-valued samples.  Points where a
     leading coefficient in X_var vanishes are skipped, so every sample
@@ -931,11 +845,11 @@ def _resultant_interpolated(f: LaurentPolynomial, g: LaurentPolynomial,
     lead_f = f.coefficients_in(var)[p]
     lead_g = g.coefficients_in(var)[q]
 
-    def substitute(poly, t):
+    def substitute(poly, t, at):
         out: dict[tuple[int, ...], CyclotomicNumber] = {}
         for e, c in poly.terms.items():
-            rest = e[:sample_var] + e[sample_var + 1:]
-            val = c * (t ** e[sample_var])
+            rest = e[:at] + e[at + 1:]
+            val = c * (t ** e[at])
             if rest in out:
                 val = out[rest] + val
             if val.is_zero():
@@ -950,11 +864,14 @@ def _resultant_interpolated(f: LaurentPolynomial, g: LaurentPolynomial,
     while len(points) <= dmax:
         t = Fraction(t_int)
         t_int = -t_int + (1 if t_int <= 0 else 0)
-        if substitute(lead_f, t).is_zero() or substitute(lead_g, t).is_zero():
+        # the leading coefficients lack X_var: X_sample sits at the
+        # output position there
+        if (substitute(lead_f, t, out_sample_var).is_zero()
+                or substitute(lead_g, t, out_sample_var).is_zero()):
             continue
         points.append(t)
-        values.append(_resultant_raw(substitute(f, t), substitute(g, t),
-                                     var_lower))
+        values.append(_resultant_raw(substitute(f, t, sample_var),
+                                     substitute(g, t, sample_var), var_lower))
     coeffs = list(values)
     for j in range(1, len(points)):
         for i in range(len(points) - 1, j - 1, -1):
@@ -1015,7 +932,9 @@ def _resultant_bareiss(f: LaurentPolynomial, g: LaurentPolynomial,
                     a[i][j] = zero
                 else:
                     quo = num.divide_exact(prev)
-                    assert quo is not None
+                    if quo is None:
+                        raise RuntimeError("internal error: Bareiss step "
+                                           "is not an exact division")
                     a[i][j] = quo
             a[i][k] = zero
         prev = a[k][k]
@@ -1033,8 +952,6 @@ def _resultant_raw(f: LaurentPolynomial, g: LaurentPolynomial,
     if f.nvars == 1:
         r = _scalar_resultant(_to_dense_nonneg(f), _to_dense_nonneg(g))
         return LaurentPolynomial(0, {(): r})
-    if f.nvars == 2:
-        return _resultant_bivariate(f, g, var)
     return _resultant_interpolated(f, g, var)
 
 

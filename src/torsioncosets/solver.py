@@ -156,7 +156,9 @@ def binomial_cosets(f: LaurentPolynomial):
                     (0,) * n: -w.to_cyclotomic()})
             while True:
                 quot = work_u.divide_exact(divisor)
-                assert quot is not None
+                if quot is None:
+                    raise RuntimeError("internal error: binomial factor "
+                                       "does not divide")
                 work_u = quot
                 changed = True
                 if work_u.is_unit() or not work_u.substitute_root(0, w).is_zero():
@@ -224,7 +226,9 @@ def reduce_rank_deficient(f: LaurentPolynomial):
         # substituting the isogeny of the triangular basis kills X_n
         reduced = {}
         for e, c in work.terms.items():
-            assert sum(x * y for x, y in zip(e, s)) == 0
+            if sum(x * y for x, y in zip(e, s)):
+                raise RuntimeError("internal error: support not orthogonal "
+                                   "to the complement vector")
             reduced[e[:-1]] = c
         steps.append((perm, rows, n))
         work = LaurentPolynomial(n - 1, reduced)
@@ -270,7 +274,9 @@ def rescale_to_full_lattice(f: LaurentPolynomial):
     for e, c in work.terms.items():
         coords = [sum(Fraction(x) * y for x, y in zip(e, star))
                   for star in a_star]
-        assert all(q.denominator == 1 for q in coords)
+        if any(q.denominator != 1 for q in coords):
+            raise RuntimeError("internal error: exponent outside the "
+                               "lattice in polar coordinates")
         out[tuple(int(q) for q in coords)] = c
     fstar = LaurentPolynomial(n, out)
 
@@ -282,7 +288,9 @@ def rescale_to_full_lattice(f: LaurentPolynomial):
                            for j in range(n)] for b in rows]
             s = [c.point.power(b).exponent for b in rows]
             sol = solve_exponent_congruences(constraint, s)
-            assert sol.consistent
+            if not sol.consistent:
+                raise RuntimeError("internal error: inconsistent isogeny "
+                                   "pullback")
             results.extend(sol.cosets())
         return results
 
@@ -293,13 +301,6 @@ def rescale_to_full_lattice(f: LaurentPolynomial):
 # coefficient-field normalization and the auxiliary family
 
 
-def _coefficient_level(f: LaurentPolynomial) -> int:
-    out = 1
-    for c in f.terms.values():
-        out = lcm(out, c.minimal_level().level)
-    return out
-
-
 def minimal_level_normalize(f: LaurentPolynomial, budget: int = 4096):
     """Search variable scalings by roots of unity (orders dividing twice
     the coefficient level) and a division by one nonzero coefficient
@@ -308,7 +309,7 @@ def minimal_level_normalize(f: LaurentPolynomial, budget: int = 4096):
     cosets back to the original coordinates."""
     n = f.nvars
     reduced = f.map_coefficients(lambda c: c.minimal_level())
-    base_level = _coefficient_level(reduced)
+    base_level = reduced.coefficient_level()
     identity = tuple(RootOfUnity.one() for _ in range(n))
     if base_level == 1:
         return identity, 1, reduced
@@ -368,12 +369,14 @@ def auxiliary_polynomials(f: LaurentPolynomial):
     Returns ("aux", [(candidate, resultant), ...]), or ("split", factor)
     with a nontrivial factor of f so the caller can split f and
     recurse."""
+    # the Galois twists act on each coefficient at its minimal level
+    f = f.map_coefficients(lambda c: c.minimal_level())
     n = f.nvars
     var = n - 1
     content, _ = _content_and_primitive(f.coefficients_in(var))
     if not content.is_unit():
         return "split", content.insert_variable(var)
-    level = _coefficient_level(f)
+    level = f.coefficient_level()
     sign_choices = list(itertools.product((1, -1), repeat=n))
     raw: list[LaurentPolynomial] = []
     for eps in sign_choices:
@@ -504,7 +507,9 @@ def _solve_full_lattice(f: LaurentPolynomial, stats: SolveStats,
         if cand.dimension == 0:
             results.extend(_fiber_points(f, cand.point, var))
         else:
-            results.extend(_fiber_cosets(f, cand, stats, depth))
+            a = _primitive_member(cand.lattice)
+            results.extend(_slice_and_lift([f], a + [0], cand.point.power(a),
+                                           stats, depth))
     return maximal_filter(results)
 
 
@@ -540,37 +545,28 @@ def _primitive_member(lattice: IntegerLattice):
     return [x // g for x in row]
 
 
-def _fiber_cosets(f: LaurentPolynomial, cand: TorsionCoset,
-                  stats: SolveStats, depth: int):
-    """Step from a positive-dimensional candidate projection D: pass to
-    the coordinates extending a primitive direction a of D's lattice,
-    freeze Y_1 = D^a, solve the slice in one fewer variables, and lift
-    back."""
-    n = f.nvars
-    a = _primitive_member(cand.lattice)
-    omega = cand.point.power(a)
-    u_small = extend_to_basis(a)
-    a_bar = [list(row) + [0] for row in u_small]
-    last = [0] * n
-    last[n - 1] = 1
-    a_bar.append(last)
-    fu = f.monoidal_image(a_bar)
-    spec = fu.substitute_root(0, omega)
-    back = mat_inverse_unimodular(a_bar)
-    if spec.is_zero():
-        # the whole slice Y_1 = omega lies on the hypersurface; emitted
-        # defensively (binomial stripping normally removes this case)
+def _slice_and_lift(system, a, omega: RootOfUnity, stats: SolveStats,
+                    depth: int) -> list[TorsionCoset]:
+    """Cosets of the system's variety on the slice X^a = omega, for a
+    primitive a: pass to coordinates whose first is Y_1 = X^a, freeze
+    Y_1 = omega, solve the images in one fewer variables and lift back.
+    When every image vanishes the whole slice lies on the variety and
+    is returned."""
+    n = len(a)
+    u = extend_to_basis(a)
+    back = mat_inverse_unimodular(u)
+    images = [p.monoidal_image(u).substitute_root(0, omega) for p in system]
+    images = [p for p in images if not p.is_zero()]
+    first_row = [1] + [0] * (n - 1)
+    if not images:
         point = TorsionPoint([omega] + [RootOfUnity.one()] * (n - 1))
-        row = [1] + [0] * (n - 1)
-        slice_coset = TorsionCoset(point, IntegerLattice(n, [row]))
-        return [slice_coset.transform(back)]
+        return [TorsionCoset(point, IntegerLattice(n, [first_row]))
+                .transform(back)]
     out = []
-    for e in _solve_hypersurface(spec, stats, depth + 1):
+    for e in _solve_variety(images, stats, depth + 1):
         point = TorsionPoint([omega] + list(e.point))
-        rows = [[1] + [0] * (n - 1)]
-        rows.extend([0] + list(r) for r in e.lattice.rows)
-        coset = TorsionCoset(point, IntegerLattice(n, rows))
-        out.append(coset.transform(back))
+        rows = [first_row] + [[0] + list(r) for r in e.lattice.rows]
+        out.append(TorsionCoset(point, IntegerLattice(n, rows)).transform(back))
     return out
 
 
@@ -612,24 +608,8 @@ def _solve_variety(system, stats: SolveStats, depth: int):
         if n == 1:
             continue
         a = _primitive_member(c.lattice)
-        omega = c.point.power(a)
-        u = extend_to_basis(a)
-        back = mat_inverse_unimodular(u)
-        images = []
-        for p in system:
-            spec = p.monoidal_image(u).substitute_root(0, omega)
-            if not spec.is_zero():
-                images.append(spec)
-        if not images:
-            results.append(c)
-            continue
-        for e in _solve_variety(images, stats, depth + 1):
-            point = TorsionPoint([omega] + list(e.point))
-            rows = [[1] + [0] * (n - 1)]
-            rows.extend([0] + list(r) for r in e.lattice.rows)
-            lifted = TorsionCoset(point, IntegerLattice(n, rows)).transform(back)
-            if lifted.lies_on(system):
-                results.append(lifted)
+        lifted = _slice_and_lift(system, a, c.point.power(a), stats, depth)
+        results.extend(e for e in lifted if e.lies_on(system))
     return maximal_filter(results)
 
 

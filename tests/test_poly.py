@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from torsioncosets.arith import CyclotomicNumber, RootOfUnity, TorsionPoint
+from torsioncosets.arith import (
+    CyclotomicNumber,
+    RootOfUnity,
+    TorsionPoint,
+    euler_phi,
+)
 from torsioncosets.lattices import IntegerLattice, identity_matrix
 from torsioncosets.poly import (
     LaurentPolynomial,
@@ -151,24 +156,49 @@ def test_resultant_rejects_degenerate():
         resultant(f, x_plus_y_minus_1(), 1)
 
 
+def _random_poly_full(rng, nvars, max_terms, max_exp, level):
+    # like _random_poly (the same draws at level 4), with every
+    # power-basis coordinate of the coefficient field drawn
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = tuple(rng.randint(-max_exp, max_exp) for _ in range(nvars))
+        c = CyclotomicNumber(level, [rng.randint(-3, 3)
+                                     for _ in range(euler_phi(level))])
+        if not c.is_zero():
+            terms[e] = c
+    return L(nvars, terms)
+
+
+def _check_resultant(f, g, var):
+    r_fg = resultant(f, g, var)
+    r_gf = resultant(g, f, var)
+    p, q = f.degree_in(var), g.degree_in(var)
+    expect = r_fg if (p * q) % 2 == 0 else -r_fg
+    assert r_gf == expect
+    # the interpolation path agrees with fraction-free Bareiss
+    assert _resultant_bareiss(f, g, var) == r_fg
+
+
 def test_resultant_antisymmetry_and_bareiss_agreement():
     rng = random.Random(13)
-    done = 0
-    while done < 15:
-        f = _random_poly(rng, 2, 4, 2)
-        g = _random_poly(rng, 2, 4, 2)
-        f, _ = f.strip_monomial_content()
-        g, _ = g.strip_monomial_content()
-        if f.degree_in(1) == 0 or g.degree_in(1) == 0:
-            continue
-        done += 1
-        r_fg = resultant(f, g, 1)
-        r_gf = resultant(g, f, 1)
-        p, q = f.degree_in(1), g.degree_in(1)
-        expect = r_fg if (p * q) % 2 == 0 else -r_fg
-        assert r_gf == expect
-        # the interpolation fast path agrees with fraction-free Bareiss
-        assert _resultant_bareiss(f, g, 1) == r_fg
+    for level, var, count in ((4, 1, 15), (4, 0, 15), (8, 0, 5), (8, 1, 5),
+                              (12, 0, 5), (12, 1, 5)):
+        done = 0
+        while done < count:
+            f = _random_poly_full(rng, 2, 4, 2, level)
+            g = _random_poly_full(rng, 2, 4, 2, level)
+            f, _ = f.strip_monomial_content()
+            g, _ = g.strip_monomial_content()
+            if f.degree_in(var) == 0 or g.degree_in(var) == 0:
+                continue
+            done += 1
+            _check_resultant(f, g, var)
+    # the lacunary shape x^d + y^d + xy + 1 against its sign twist f(-x, y)
+    for d in (2, 3, 5, 6):
+        f = poly2({(d, 0): 1, (0, d): 1, (1, 1): 1, (0, 0): 1})
+        g = f.sign_variant((-1, 1))
+        for var in (0, 1):
+            _check_resultant(f, g, var)
 
 
 def test_resultant_vanishes_at_projected_common_zero():
@@ -317,18 +347,19 @@ def test_evaluate_and_vanishes_consistency():
 
 def test_resultant_trivariate_matches_bareiss():
     rng = random.Random(99)
-    done = 0
-    while done < 8:
-        f = _random_poly(rng, 3, 4, 2)
-        g = _random_poly(rng, 3, 4, 2)
-        f, _ = f.strip_monomial_content()
-        g, _ = g.strip_monomial_content()
-        if f.degree_in(2) == 0 or g.degree_in(2) == 0:
-            continue
-        done += 1
-        fast = resultant(f, g, 2)
-        slow = _resultant_bareiss(f, g, 2)
-        assert fast == slow
+    for var, count in ((2, 8), (0, 3), (1, 3)):
+        done = 0
+        while done < count:
+            f = _random_poly(rng, 3, 4, 2)
+            g = _random_poly(rng, 3, 4, 2)
+            f, _ = f.strip_monomial_content()
+            g, _ = g.strip_monomial_content()
+            if f.degree_in(var) == 0 or g.degree_in(var) == 0:
+                continue
+            done += 1
+            fast = resultant(f, g, var)
+            slow = _resultant_bareiss(f, g, var)
+            assert fast == slow
 
 
 def test_scalar_resultant_matches_reference():

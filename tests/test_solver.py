@@ -200,6 +200,17 @@ def test_auxiliary_polynomials_odd_level():
     for p in squared:
         consts = [c for e, c in p.terms.items() if not any(e)]
         assert consts and consts[0] == CyclotomicNumber.zeta(3, 2)
+    # the same coefficient stored at level 6 gives the same family
+    z6 = CyclotomicNumber(6, [0, 1])
+    assert z6.minimal_level().level == 3
+    f6 = poly2({(1, 0): 1, (0, 1): 1, (0, 0): z6})
+    f3 = f6.map_coefficients(lambda c: c.minimal_level())
+    kind6, aux6 = auxiliary_polynomials(f6)
+    kind3, aux3 = auxiliary_polynomials(f3)
+    assert kind6 == kind3 == "aux"
+    assert len(aux6) == len(aux3)
+    for (p6, r6), (p3, r3) in zip(aux6, aux3):
+        assert p6 == p3 and r6 == r3
 
 
 def _auxiliary_by_gcd(f):
@@ -462,6 +473,16 @@ def test_identically_zero_fiber_three_vars():
     assert any(c.canonical_key() == line.canonical_key() for c in rep.cosets)
     from torsioncosets.oracle import cross_check
     assert cross_check(rep, [f], 8).passed
+
+
+def test_slice_and_lift_whole_slice():
+    # x*y - 1 vanishes on the whole slice x*y = 1: the slice itself is
+    # returned, without a sub-solve
+    stats = solver.SolveStats()
+    out = solver._slice_and_lift([poly2({(1, 1): 1, (0, 0): -1})], [1, 1],
+                                 RootOfUnity.one(), stats, 0)
+    assert out == [TorsionCoset.from_binomial([1, 1], RootOfUnity.one())]
+    assert stats.subsolves == 0
 
 
 def test_variety_absorbed_coset():
