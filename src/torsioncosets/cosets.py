@@ -9,6 +9,7 @@ H_A = {x : x^a = 1 for all a in A}; its dimension is n - rank(A).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .arith import RootOfUnity, TorsionPoint
@@ -161,14 +162,12 @@ def maximal_filter(cosets) -> list[TorsionCoset]:
     for c in cosets:
         unique.setdefault(c.canonical_key(), c)
     ordered = sorted(unique.values(), key=TorsionCoset.sort_key)
-    kept: list[TorsionCoset] = []
-    for c in ordered:
-        # distinct cosets of equal dimension cannot contain one another
-        contained = any(c.dimension < other.dimension and c.is_subcoset_of(other)
-                        for other in ordered)
-        if not contained:
-            kept.append(c)
-    return kept
+    dims = [c.dimension for c in ordered]
+    # distinct cosets of equal dimension cannot contain one another, so
+    # each coset meets only the suffix of strictly larger dimension
+    return [c for i, c in enumerate(ordered)
+            if not any(c.is_subcoset_of(other)
+                       for other in ordered[bisect_right(dims, dims[i]):])]
 
 
 class CongruenceSolutionSet:

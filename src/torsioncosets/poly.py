@@ -4,14 +4,17 @@ Polynomials are finitely supported maps from integer exponent vectors to
 nonzero CyclotomicNumber coefficients.  The module provides the
 structural operations the torsion-coset machinery needs: support and
 exponent-lattice extraction, images under monoidal (unimodular)
-coordinate changes, coset slices, torsion specialization, Sylvester
-resultants, multivariate gcd, and exact root-of-unity root finding for
-univariate inputs.
+coordinate changes, coset slices, torsion specialization, multi-prime
+modular Sylvester resultants, multivariate gcd, and exact root-of-unity
+root finding for univariate inputs.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from math import gcd, lcm
 
 from .arith import (
@@ -19,6 +22,7 @@ from .arith import (
     RootOfUnity,
     TorsionPoint,
     _level,
+    cyclotomic_polynomial,
     euler_phi,
 )
 from .lattices import (
@@ -466,21 +470,6 @@ def _to_dense(f: LaurentPolynomial) -> list[CyclotomicNumber]:
     return out
 
 
-def _to_dense_nonneg(f: LaurentPolynomial) -> list[CyclotomicNumber]:
-    # dense coefficients without any exponent shifting
-    if f.nvars != 1:
-        raise ValueError("univariate polynomial expected")
-    if f.is_zero():
-        return []
-    if any(e[0] < 0 for e in f.terms):
-        raise ValueError("negative exponent in polynomial conversion")
-    deg = max(e[0] for e in f.terms)
-    out = [CyclotomicNumber.zero() for _ in range(deg + 1)]
-    for e, c in f.terms.items():
-        out[e[0]] = c
-    return out
-
-
 def _from_dense(coeffs) -> LaurentPolynomial:
     return LaurentPolynomial(1, {(i,): c for i, c in enumerate(coeffs)
                                  if not c.is_zero()})
@@ -751,224 +740,234 @@ def cyclotomic_roots(g: LaurentPolynomial):
 
 
 # ---------------------------------------------------------------------------
-# resultants
+# resultants: a multi-prime evaluation kernel
 
 
-def _scalar_resultant_reference(a, b):
-    # field-arithmetic Euclidean resultant; kept as the independent
-    # reference for the fraction-free version below
-    a = _dense_trim(list(a))
-    b = _dense_trim(list(b))
-    if not a or not b:
-        return CyclotomicNumber.zero()
-    res = CyclotomicNumber.one()
+def _is_prime(n: int) -> bool:
+    # Miller-Rabin with the prime bases up to 41: deterministic for
+    # 41 < n < 3.3 * 10^24
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _field_data(p: int, level: int):
+    # (p, roots, vinv): the roots of Phi_level mod a prime p = 1 (mod level)
+    # and their inverse Vandermonde matrix (values to coordinates)
+    cyclo = cyclotomic_polynomial(level)
+
+    def at(poly, x):
+        return sum(c * pow(x, k, p) for k, c in enumerate(poly)) % p
+
+    # t^((p-1)/level) is a root of Phi_level exactly when its order is
+    # the level
+    w = next(w for w in (pow(t, (p - 1) // level, p) for t in range(2, p))
+             if at(cyclo, w) == 0)
+    roots = [pow(w, k, p) for k in range(1, level + 1) if gcd(k, level) == 1]
+    # Lagrange: Phi_level = prod (X - r), so the basis polynomial of the
+    # root r is (Phi_level / (X - r)) / Phi_level'(r)
+    cols = []
+    for r in roots:
+        quot, acc = [], 0
+        for c in reversed(cyclo[1:]):
+            acc = (acc * r + c) % p
+            quot.append(acc)
+        scale = pow(at(quot[::-1], r), -1, p)
+        cols.append([c * scale % p for c in reversed(quot)])
+    return p, roots, [list(row) for row in zip(*cols)]
+
+
+_FIELDS: dict[int, list] = {}
+_FIELDS_LOCK = threading.Lock()
+
+
+def _prime_field(level: int, index: int):
+    # _field_data of the index-th prime p = 1 (mod level) below 2^62, in
+    # descending order
+    with _FIELDS_LOCK:
+        fields = _FIELDS.setdefault(level, [])
+        p = fields[-1][0] if fields else 2**62 + level - 1 - (2**62 - 2) % level
+        while len(fields) <= index:
+            p -= level
+            if _is_prime(p):
+                fields.append(_field_data(p, level))
+        return fields[index]
+
+
+@cache
+def _power_bound(level: int) -> int:
+    # C_N: the largest |coordinate| of zeta^k reduced mod Phi_N, k < N
+    lv = _level(level)
+    return max(abs(x) for k in range(level) for x in lv.power(k))
+
+
+def _integer_coordinates(f: LaurentPolynomial, level: int, var: int):
+    # (terms, d, norm): d f has the integer power-basis coordinates terms
+    # = [(exponent without X_var, exponent of X_var, coordinates)], 1-norm norm
+    cs = [(e, c.embed_to_level(level)) for e, c in f.terms.items()]
+    d = lcm(*(c.den for _, c in cs))
+    terms = [(e[:var] + e[var + 1:], e[var], [x * (d // c.den) for x in c.num])
+             for e, c in cs]
+    return terms, d, sum(abs(x) for *_, v in terms for x in v)
+
+
+def _sylvester_mod(a: list[int], b: list[int], p: int) -> int:
+    """The Sylvester determinant over F_p of the formal shape (m, n) =
+    (len(a) - 1, len(b) - 1), both positive; a and b ascending."""
+    m, n = len(a) - 1, len(b) - 1
+    while a and not a[-1]:
+        a.pop()
+    while b and not b[-1]:
+        b.pop()
+    if not a or not b or (len(a) <= m and len(b) <= n):
+        return 0
+    # a dropped leading coefficient: Res_{m,n} = (-1)^(n(m-m')) b_n^(m-m')
+    # Res_{m',n}; symmetrically Res_{m,n} = a_m^(n-n') Res_{m,n'}
+    acc = (pow(b[-1], m + 1 - len(a), p) * (-1) ** (n * (m + 1 - len(a)))
+           * pow(a[-1], n + 1 - len(b), p))
+    a.reverse()
+    b.reverse()
     while True:
         m, n = len(a) - 1, len(b) - 1
         if n == 0:
-            return res * (b[0] ** m)
+            return acc * pow(b[0], m, p) % p
         if m < n:
-            if (m * n) % 2 == 1:
-                res = -res
+            acc = -acc if m * n % 2 else acc
             a, b = b, a
             continue
-        _, r = _dense_divmod(a, b)
-        r = _dense_trim(r)
-        if not r:
-            return CyclotomicNumber.zero()
-        dr = len(r) - 1
-        if (m * n) % 2 == 1:
-            res = -res
-        res = res * (b[n] ** (m - dr))
-        a, b = b, r
+        inv = pow(b[0], -1, p)
+        r = a
+        for _ in range(m - n + 1):
+            c = r[0] * inv % p
+            r = [(x - c * y) % p for x, y in zip(r[1:], b[1:])] + r[n + 1:]
+        k = next((i for i, x in enumerate(r) if x), n)
+        if k == n:
+            return 0
+        # res(a, b) = (-1)^(mn) b_n^(m - deg r) res(b, a mod b)
+        acc = (-acc if m * n % 2 else acc) * pow(b[0], m - n + 1 + k, p) % p
+        a, b = b, r[k:]
 
 
-def _scalar_resultant(a, b):
-    """Sylvester resultant of two dense univariate polynomials over the
-    coefficient field, including the usual sign.
-
-    Uses a primitive pseudo-remainder chain: with R the pseudo-remainder
-    of (a, b) and R = s * Rt for the rational content s,
-    res(a, b) = (-1)^(mn) lc(b)^(m - r - (m-n+1) n) s^n res(b, Rt),
-    so every intermediate polynomial stays integral and content-free.
-    """
-    a = _dense_trim(list(a))
-    b = _dense_trim(list(b))
-    if not a or not b:
-        return CyclotomicNumber.zero()
-    a, sa = _primitive_scale(a)
-    b, sb = _primitive_scale(b)
-    sign = 1
-    rat = sa ** (len(b) - 1) * sb ** (len(a) - 1)
-    acc = CyclotomicNumber.one()
-    while True:
-        m, n = len(a) - 1, len(b) - 1
-        if n == 0:
-            value = acc * (b[0] ** m) * rat
-            return value if sign == 1 else -value
-        if m < n:
-            if (m * n) % 2:
-                sign = -sign
-            a, b = b, a
-            continue
-        r = _dense_prem(a, b)
-        if not r:
-            return CyclotomicNumber.zero()
-        rt, s = _primitive_scale(r)
-        e = m - (len(rt) - 1) - (m - n + 1) * n
-        if (m * n) % 2:
-            sign = -sign
-        rat *= s ** n
-        lcb = b[n]
-        if e > 0:
-            acc = acc * (lcb ** e)
-        elif e < 0:
-            acc = acc * (lcb.inverse() ** (-e))
-        a, b = b, rt
-
-
-def _resultant_interpolated(f: LaurentPolynomial, g: LaurentPolynomial,
-                            var: int) -> LaurentPolynomial:
-    """Resultant for two or more variables: specialize one surviving
-    variable at rational points, recurse into the raw dispatcher, and
-    Newton-interpolate the polynomial-valued samples.  Points where a
-    leading coefficient in X_var vanishes are skipped, so every sample
-    is the exact specialization of the resultant; nothing is stripped
-    along the way."""
-    n = f.nvars
-    sample_var = n - 1 if var != n - 1 else n - 2
-    out_sample_var = sample_var if sample_var < var else sample_var - 1
-    var_lower = var if var < sample_var else var - 1
-    p = max(e[var] for e in f.terms)
-    q = max(e[var] for e in g.terms)
-    dmax = (q * max(e[sample_var] for e in f.terms)
-            + p * max(e[sample_var] for e in g.terms))
-    lead_f = f.coefficients_in(var)[p]
-    lead_g = g.coefficients_in(var)[q]
-
-    def substitute(poly, t, at):
-        out: dict[tuple[int, ...], CyclotomicNumber] = {}
-        for e, c in poly.terms.items():
-            rest = e[:at] + e[at + 1:]
-            val = c * (t ** e[at])
-            if rest in out:
-                val = out[rest] + val
-            if val.is_zero():
-                out.pop(rest, None)
-            else:
-                out[rest] = val
-        return LaurentPolynomial(poly.nvars - 1, out)
-
-    points: list[Fraction] = []
-    values: list[LaurentPolynomial] = []
-    t_int = 1
-    while len(points) <= dmax:
-        t = Fraction(t_int)
-        t_int = -t_int + (1 if t_int <= 0 else 0)
-        # the leading coefficients lack X_var: X_sample sits at the
-        # output position there
-        if (substitute(lead_f, t, out_sample_var).is_zero()
-                or substitute(lead_g, t, out_sample_var).is_zero()):
-            continue
-        points.append(t)
-        values.append(_resultant_raw(substitute(f, t, sample_var),
-                                     substitute(g, t, sample_var), var_lower))
-    coeffs = list(values)
-    for j in range(1, len(points)):
-        for i in range(len(points) - 1, j - 1, -1):
-            inv = Fraction(1, 1) / (points[i] - points[i - j])
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]).scale(inv)
-    n_out = n - 1
-    acc = LaurentPolynomial.zero(n_out)
-    basis = [Fraction(1)]
-    for j, cj in enumerate(coeffs):
-        if not cj.is_zero():
-            lifted = cj.insert_variable(out_sample_var)
-            for i, bval in enumerate(basis):
-                if bval:
-                    mono = [0] * n_out
-                    mono[out_sample_var] = i
-                    acc = acc + lifted * LaurentPolynomial.monomial(
-                        n_out, mono, bval)
-        if j + 1 < len(points):
-            new = [Fraction(0)] * (len(basis) + 1)
-            for i, bval in enumerate(basis):
-                new[i + 1] += bval
-                new[i] -= bval * points[j]
-            basis = new
+def _interpolate(values: list[int], inv: list[int], p: int) -> list[int]:
+    # coefficients of the polynomial of degree < len(values) taking values[t]
+    # at t = 0, 1, ...: Newton divided differences, then Horner
+    c = list(values)
+    for j in range(1, len(c)):
+        c[j:] = [(x - y) * inv[j] % p for x, y in zip(c[j:], c[j - 1:])]
+    acc = [c[-1]]
+    for k in range(len(c) - 2, -1, -1):
+        acc = [(y - k * x) % p for x, y in zip(acc + [0], [0] + acc)]
+        acc[0] = (acc[0] + c[k]) % p
     return acc
 
 
-def _resultant_bareiss(f: LaurentPolynomial, g: LaurentPolynomial,
-                       var: int) -> LaurentPolynomial:
-    n_out = f.nvars - 1
-    fc = f.coefficients_in(var)
-    gc = g.coefficients_in(var)
-    p = max(fc)
-    q = max(gc)
-    zero = LaurentPolynomial.zero(n_out)
-    size = p + q
-    mat = [[zero] * size for _ in range(size)]
-    for i in range(q):
-        for k, c in fc.items():
-            mat[i][i + (p - k)] = c
-    for i in range(p):
-        for k, c in gc.items():
-            mat[q + i][i + (q - k)] = c
-    sign = 1
-    prev = LaurentPolynomial.constant(n_out, 1)
-    a = mat
-    for k in range(size - 1):
-        if a[k][k].is_zero():
-            piv = next((i for i in range(k + 1, size) if not a[i][k].is_zero()),
-                       None)
-            if piv is None:
-                return zero
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                if num.is_zero():
-                    a[i][j] = zero
-                else:
-                    quo = num.divide_exact(prev)
-                    if quo is None:
-                        raise RuntimeError("internal error: Bareiss step "
-                                           "is not an exact division")
-                    a[i][j] = quo
-            a[i][k] = zero
-        prev = a[k][k]
-    det = a[size - 1][size - 1]
-    return det if sign == 1 else -det
+def _resultant_mod(fterms, gterms, shape, sizes, field):
+    """Power-basis coordinates mod p of the resultant coefficients, flat
+    in the order (monomial of the output grid, coordinate)."""
+    p, roots, vinv = field
+    phi = len(roots)
 
+    def at_roots(terms):
+        return [(e, k, [sum(x * pow(r, j, p) for j, x in enumerate(v)) % p
+                        for r in roots]) for e, k, v in terms]
 
-def _resultant_raw(f: LaurentPolynomial, g: LaurentPolynomial,
-                   var: int) -> LaurentPolynomial:
-    # exact Sylvester determinant of the inputs as given (nonnegative
-    # exponents, no content stripping: the matrix shape is part of the
-    # contract for interpolation)
-    if f.is_zero() or g.is_zero():
-        return LaurentPolynomial.zero(f.nvars - 1)
-    if f.nvars == 1:
-        r = _scalar_resultant(_to_dense_nonneg(f), _to_dense_nonneg(g))
-        return LaurentPolynomial(0, {(): r})
-    return _resultant_interpolated(f, g, var)
+    fv, gv = at_roots(fterms), at_roots(gterms)
+    vals = []
+    for point in product(*(range(s) for s in sizes)):
+        dense = []
+        for terms, deg in zip((fv, gv), shape):
+            rows = [[0] * (deg + 1) for _ in range(phi)]
+            for e, k, v in terms:
+                mono = 1
+                for t, x in zip(point, e):
+                    mono = mono * pow(t, x, p) % p
+                for row, x in zip(rows, v):
+                    row[k] += x * mono
+            dense.append(rows)
+        vals.extend(_sylvester_mod([x % p for x in a], [x % p for x in b], p)
+                    for a, b in zip(*dense))
+    inv = [0, 1]
+    for i in range(2, max(sizes, default=1)):
+        inv.append(-(p // i) * inv[p % i] % p)
+    stride = len(vals)
+    for s in sizes:
+        stride //= s
+        for start in range(0, len(vals), stride * s):
+            for off in range(start, start + stride):
+                line = slice(off, off + stride * s, stride)
+                vals[line] = _interpolate(vals[line], inv, p)
+    if phi == 1:
+        return vals
+    return [sum(x * y for x, y in zip(row, vals[i:i + phi])) % p
+            for i in range(0, len(vals), phi) for row in vinv]
 
 
 def resultant(f: LaurentPolynomial, g: LaurentPolynomial,
               var: int) -> LaurentPolynomial:
     """Sylvester resultant with respect to X_var, after clearing the
     monomial content of both inputs.  The result lives in the remaining
-    variables; it vanishes at every projection of a common torus zero,
-    and is zero exactly when the inputs share a factor of positive
-    degree in X_var."""
+    variables, with coefficients at the lcm N of the input levels; it
+    vanishes at every projection of a common torus zero, and is zero
+    exactly when the inputs share a factor of positive degree in X_var.
+
+    One multi-prime kernel for any number of variables.  With p, q the
+    degrees of f, g in X_var and d_f, d_g their coefficient
+    denominators, d_f f and d_g g have integer coordinates at level N
+    and res(f, g) = res(d_f f, d_g g) / (d_f^q d_g^p).  Before reduction
+    mod Phi_N that determinant lies in Z[X, z], of 1-norm at most the
+    product of the Sylvester row norms; reducing z^k multiplies by at
+    most C_N = max |coordinate of zeta_N^k|.  So every coordinate is at
+    most B = |d_f f|_1^q |d_g g|_1^p C_N, computed first.  Primes
+    P = 1 (mod N) below 2^62, in a fixed descending order, are used
+    until their product exceeds 2B, and combined by CRT into symmetric
+    residues.  Modulo each P, z runs over the roots of Phi_N and
+    each other X_j over 0, ..., q deg_j f + p deg_j g (a degree bound);
+    interpolation and a Vandermonde solve give the coordinates.  Every
+    point takes the determinant of the formal shape (p, q), also where a
+    leading coefficient vanishes: the determinant commutes with every
+    ring map, so no prime or point is unlucky and none is skipped."""
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
-    f0, _ = f.strip_monomial_content()
-    g0, _ = g.strip_monomial_content()
-    if f0.degree_in(var) == 0 or g0.degree_in(var) == 0:
+    f, _ = f.strip_monomial_content()
+    g, _ = g.strip_monomial_content()
+    shape = (f.degree_in(var), g.degree_in(var))
+    if 0 in shape:
         raise ValueError("inputs must have positive degree in the variable")
-    return _resultant_raw(f0, g0, var)
+    level = lcm(f.coefficient_level(), g.coefficient_level())
+    (fterms, df, fnorm), (gterms, dg, gnorm) = (
+        _integer_coordinates(h, level, var) for h in (f, g))
+    bound = fnorm ** shape[1] * gnorm ** shape[0] * _power_bound(level)
+    sizes = [shape[1] * f.degree_in(j) + shape[0] * g.degree_in(j) + 1
+             for j in range(f.nvars) if j != var]
+    modulus, coords, index = 1, None, 0
+    while modulus <= 2 * bound:
+        field = _prime_field(level, index)
+        index += 1
+        residues = _resultant_mod(fterms, gterms, shape, sizes, field)
+        p = field[0]
+        step = pow(modulus, -1, p)
+        coords = residues if coords is None else [
+            x + modulus * ((r - x) * step % p) for x, r in zip(coords, residues)]
+        modulus *= p
+    phi = euler_phi(level)
+    den = df ** shape[1] * dg ** shape[0]
+    out = {}
+    for i, e in enumerate(product(*(range(s) for s in sizes))):
+        v = [x - modulus if 2 * x > modulus else x
+             for x in coords[i * phi:(i + 1) * phi]]
+        if any(v):
+            out[e] = CyclotomicNumber(level, v, den)
+    return LaurentPolynomial(f.nvars - 1, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,12 +8,15 @@ from torsioncosets.arith import (
     CyclotomicNumber,
     RootOfUnity,
     TorsionPoint,
+    cyclotomic_polynomial,
     euler_phi,
 )
 from torsioncosets.lattices import IntegerLattice, identity_matrix
+from torsioncosets import poly
 from torsioncosets.poly import (
     LaurentPolynomial,
-    _resultant_bareiss,
+    _dense_divmod,
+    _dense_trim,
     cyclotomic_roots,
     multivariate_gcd,
     resultant,
@@ -21,6 +25,82 @@ from torsioncosets.poly import (
 )
 
 L = LaurentPolynomial
+
+
+# ---------------------------------------------------------------------------
+# differential oracles for `resultant`: independent of its modular kernel
+
+
+def _scalar_resultant_reference(a, b):
+    # field-arithmetic Euclidean resultant of dense univariate
+    # coefficient lists (ascending), in exact cyclotomic arithmetic
+    a = _dense_trim(list(a))
+    b = _dense_trim(list(b))
+    if not a or not b:
+        return CyclotomicNumber.zero()
+    res = CyclotomicNumber.one()
+    while True:
+        m, n = len(a) - 1, len(b) - 1
+        if n == 0:
+            return res * (b[0] ** m)
+        if m < n:
+            if (m * n) % 2 == 1:
+                res = -res
+            a, b = b, a
+            continue
+        _, r = _dense_divmod(a, b)
+        r = _dense_trim(r)
+        if not r:
+            return CyclotomicNumber.zero()
+        dr = len(r) - 1
+        if (m * n) % 2 == 1:
+            res = -res
+        res = res * (b[n] ** (m - dr))
+        a, b = b, r
+
+
+def _resultant_bareiss(f, g, var):
+    # fraction-free Bareiss elimination of the Sylvester matrix over the
+    # Laurent polynomials in the remaining variables
+    n_out = f.nvars - 1
+    fc = f.coefficients_in(var)
+    gc = g.coefficients_in(var)
+    p = max(fc)
+    q = max(gc)
+    zero = L.zero(n_out)
+    size = p + q
+    mat = [[zero] * size for _ in range(size)]
+    for i in range(q):
+        for k, c in fc.items():
+            mat[i][i + (p - k)] = c
+    for i in range(p):
+        for k, c in gc.items():
+            mat[q + i][i + (q - k)] = c
+    sign = 1
+    prev = L.constant(n_out, 1)
+    a = mat
+    for k in range(size - 1):
+        if a[k][k].is_zero():
+            piv = next((i for i in range(k + 1, size) if not a[i][k].is_zero()),
+                       None)
+            if piv is None:
+                return zero
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
+                if num.is_zero():
+                    a[i][j] = zero
+                else:
+                    quo = num.divide_exact(prev)
+                    if quo is None:
+                        raise RuntimeError("Bareiss step is not an exact division")
+                    a[i][j] = quo
+            a[i][k] = zero
+        prev = a[k][k]
+    det = a[size - 1][size - 1]
+    return det if sign == 1 else -det
 
 
 def poly2(spec):
@@ -175,7 +255,7 @@ def _check_resultant(f, g, var):
     p, q = f.degree_in(var), g.degree_in(var)
     expect = r_fg if (p * q) % 2 == 0 else -r_fg
     assert r_gf == expect
-    # the interpolation path agrees with fraction-free Bareiss
+    # the modular kernel agrees with fraction-free Bareiss
     assert _resultant_bareiss(f, g, var) == r_fg
 
 
@@ -363,12 +443,9 @@ def test_resultant_trivariate_matches_bareiss():
 
 
 def test_scalar_resultant_matches_reference():
-    from torsioncosets.poly import (
-        _scalar_resultant,
-        _scalar_resultant_reference,
-        _dense_trim,
-    )
-    from torsioncosets.arith import euler_phi
+    # univariate inputs against the field-arithmetic reference; resultant
+    # clears the monomial content itself, so the reference gets the
+    # cleared inputs, and a draw that is constant once cleared is rejected
     rng = random.Random(505)
 
     def random_dense(level, deg):
@@ -380,11 +457,115 @@ def test_scalar_resultant_matches_reference():
             if not out[-1].is_zero():
                 return out
 
+    def cleared(dense):
+        return dense[next(i for i, c in enumerate(dense) if not c.is_zero()):]
+
     checked = 0
     for level in (1, 3, 4, 8, 12):
         for _ in range(15):
             a = random_dense(level, rng.randint(0, 5))
             b = random_dense(level, rng.randint(0, 5))
-            assert _scalar_resultant(a, b) == _scalar_resultant_reference(a, b)
+            fa, fb = (L(1, {(i,): c for i, c in enumerate(d)}) for d in (a, b))
+            a0, b0 = cleared(a), cleared(b)
+            if len(a0) == 1 or len(b0) == 1:
+                with pytest.raises(ValueError):
+                    resultant(fa, fb, 0)
+            else:
+                expect = _scalar_resultant_reference(a0, b0)
+                assert resultant(fa, fb, 0) == L(0, {(): expect})
             checked += 1
     assert checked == 75
+
+
+def test_kernel_primes():
+    # the kernel's Miller-Rabin against trial division, on a strong
+    # pseudoprime to the bases 2..23, and its primes and roots of Phi_N
+    def trial(n):
+        return all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert ([n for n in range(43, 5000) if poly._is_prime(n)]
+            == [n for n in range(43, 5000) if trial(n)])
+    assert not poly._is_prime(3825123056546413051)
+    for level in (1, 3, 4, 8, 12, 60):
+        previous = 2**62
+        for index in range(3):
+            p, roots, vinv = poly._prime_field(level, index)
+            assert (p - 1) % level == 0 and p < previous and poly._is_prime(p)
+            previous = p
+            cyclo = cyclotomic_polynomial(level)
+            assert len(set(roots)) == euler_phi(level)
+            for r in roots:
+                assert sum(c * pow(r, k, p) for k, c in enumerate(cyclo)) % p == 0
+            # vinv inverts the Vandermonde matrix of the roots
+            for i, row in enumerate(vinv):
+                for k in range(len(roots)):
+                    dot = sum(x * pow(r, k, p) for x, r in zip(row, roots)) % p
+                    assert dot == (i == k)
+
+
+def _sweep_poly(rng, nvars, max_exp, level, big, max_den):
+    terms = {}
+    for _ in range(rng.randint(2, 4)):
+        e = tuple(rng.randint(0, max_exp) for _ in range(nvars))
+        c = CyclotomicNumber(level, [rng.randint(-big, big)
+                                     for _ in range(euler_phi(level))],
+                             rng.randint(1, max_den))
+        if not c.is_zero():
+            terms[e] = c
+    return L(nvars, terms)
+
+
+def _needs_two_primes(f, g, var):
+    # the CRT bound of `resultant` from its definition,
+    # B = |d_f f|_1^q |d_g g|_1^p C_N, against the kernel's first prime
+    level = lcm(f.coefficient_level(), g.coefficient_level())
+    norms = []
+    for h in (f, g):
+        cs = [c.embed_to_level(level) for c in h.terms.values()]
+        d = lcm(*(c.den for c in cs))
+        norms.append(sum(abs(x) * (d // c.den) for c in cs for x in c.num))
+    c_n = max(abs(x) for k in range(level)
+              for x in CyclotomicNumber.zeta(level, k).num)
+    bound = norms[0] ** g.degree_in(var) * norms[1] ** f.degree_in(var) * c_n
+    return 2 * bound >= poly._prime_field(level, 0)[0]
+
+
+def test_resultant_differential_sweep():
+    # resultant against the Bareiss oracle at every level, number of
+    # variables and variable position, with rational and huge (two or
+    # more primes) coefficients, plus shared factors (zero resultant) and
+    # leading coefficients equal to the kernel's first prime
+    rng = random.Random(2718)
+    multi_prime = 0
+    for level in (1, 3, 4, 8, 12):
+        prime = poly._prime_field(level, 0)[0]
+        for n in (1, 2, 3, 4):
+            max_exp = (3, 3, 2, 1)[n - 1]
+            for var in range(n):
+                def draw(big, max_den, max_exp=max_exp):
+                    while True:
+                        h = _sweep_poly(rng, n, max_exp, level, big, max_den)
+                        h, _ = h.strip_monomial_content()
+                        if h.degree_in(var) > 0:
+                            return h
+
+                for big, max_den in ((3, 1), (3, 4), (10**25, 1), (10**25, 5)):
+                    f, g = draw(big, max_den), draw(3, max_den)
+                    assert resultant(f, g, var) == _resultant_bareiss(f, g, var)
+                    multi_prime += _needs_two_primes(f, g, var)
+                shared = draw(3, 2, 1)
+                f, g = draw(3, 1, 1) * shared, draw(3, 3, 1) * shared
+                assert resultant(f, g, var).is_zero()
+                # lead coefficient in X_var equal to the first prime: it
+                # vanishes mod that prime at every evaluation point
+                top = [0] * n
+                top[var] = max_exp + 1
+                for in_f, in_g in ((True, False), (False, True), (True, True)):
+                    f, g = draw(3, 2), draw(3, 1)
+                    if in_f:
+                        f = f + L.monomial(n, top, prime)
+                    if in_g:
+                        g = g + L.monomial(n, top, prime)
+                    assert _needs_two_primes(f, g, var)
+                    assert resultant(f, g, var) == _resultant_bareiss(f, g, var)
+    assert multi_prime >= 100
