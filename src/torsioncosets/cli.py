@@ -382,11 +382,10 @@ def _read_input(path):
         return fh.read()
 
 
-def _solve_document(doc: SystemDocument, budget: int) -> SolveReport:
-    scaling_budget = max(budget // 512, 64)
+def _solve_document(doc: SystemDocument) -> SolveReport:
     if len(doc.polynomials) == 1:
-        return hypersurface_cosets(doc.polynomials[0], scaling_budget)
-    return variety_cosets(doc.polynomials, scaling_budget)
+        return hypersurface_cosets(doc.polynomials[0])
+    return variety_cosets(doc.polynomials)
 
 
 def _system_degree(doc: SystemDocument) -> int:
@@ -399,7 +398,7 @@ def _system_degree(doc: SystemDocument) -> int:
 
 def _cmd_solve(args) -> int:
     doc = parse_system(_read_input(args.input))
-    report = _solve_document(doc, args.budget)
+    report = _solve_document(doc)
     if doc.nvars >= 2:
         for msg in check_soft_bounds(report, doc.nvars, _system_degree(doc)):
             print(f"warning: {msg}", file=sys.stderr)
@@ -412,7 +411,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     doc = parse_system(_read_input(args.input))
-    report = _solve_document(doc, args.budget)
+    report = _solve_document(doc)
     oracle = cross_check(report, doc.polynomials, args.max_order,
                          budget=args.budget)
     payload = {
@@ -495,8 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", default="-",
                        help="input file (default: stdin)")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--budget", type=int, default=2_000_000,
-                       help="work budget for search/verification steps")
 
     p_solve = sub.add_parser("solve", help="find all maximal torsion cosets")
     add_common(p_solve)
@@ -507,6 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "brute-force oracle")
     add_common(p_verify)
     p_verify.add_argument("--max-order", type=int, default=12)
+    p_verify.add_argument("--budget", type=int, default=2_000_000,
+                          help="most grid points the oracle may test")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_bounds = sub.add_parser("bounds", help="print the explicit bounds")

@@ -18,7 +18,7 @@ import logging
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import RootOfUnity, TorsionPoint
+from .arith import CyclotomicNumber, RootOfUnity, TorsionPoint, _divisors
 from .cosets import (
     TorsionCoset,
     maximal_filter,
@@ -46,19 +46,19 @@ logger = logging.getLogger(__name__)
 
 
 class SolveStats:
-    """Counters collected during a solve, plus the search budget for the
-    coefficient-level normalization."""
+    """Counters collected during a solve; max_level is the largest
+    coefficient level left by the level normalization."""
 
     __slots__ = ("max_depth", "resultants", "max_resultant_degree",
-                 "splits", "subsolves", "scaling_budget")
+                 "splits", "subsolves", "max_level")
 
-    def __init__(self, scaling_budget: int = 4096):
+    def __init__(self):
         self.max_depth = 0
         self.resultants = 0
         self.max_resultant_degree = 0
         self.splits = 0
         self.subsolves = 0
-        self.scaling_budget = scaling_budget
+        self.max_level = 0
 
     def as_dict(self):
         return {
@@ -67,6 +67,7 @@ class SolveStats:
             "max_resultant_degree": self.max_resultant_degree,
             "splits": self.splits,
             "subsolves": self.subsolves,
+            "max_level": self.max_level,
         }
 
 
@@ -301,46 +302,45 @@ def rescale_to_full_lattice(f: LaurentPolynomial):
 # coefficient-field normalization and the auxiliary family
 
 
-def minimal_level_normalize(f: LaurentPolynomial, budget: int = 4096):
-    """Search variable scalings by roots of unity (orders dividing twice
-    the coefficient level) and a division by one nonzero coefficient
-    that minimize the cyclotomic level N of the coefficients; N is
-    returned odd or divisible by 4.  The scalings translate solved
-    cosets back to the original coordinates."""
+def minimal_level_normalize(f: LaurentPolynomial):
+    """Scale the variables by w in mu_(2N)^n (N the coefficient level)
+    and divide by a coefficient so that the coefficient level is least;
+    it is odd or divisible by 4.  Returns (scalings, level, normalized
+    f); the scalings translate solved cosets back.  With w = zeta_2N^k,
+    the ratios r_e to the lex-first coefficient c_d (any divisor reaches
+    the same levels) lie in Q(zeta_M) when each <e-d, k> lies in
+    {j : r_e zeta_2N^j in Q(zeta_M)}, a coset of (2N/g)Z for
+    g = gcd(2N, lcm(2, M)), as Q(zeta_M) holds the lcm(2, M)-th roots of
+    unity.  So each level is one congruence system, with no search; the
+    least reachable one is returned with the lex-first k in [0, 2N)^n."""
     n = f.nvars
     reduced = f.map_coefficients(lambda c: c.minimal_level())
-    base_level = reduced.coefficient_level()
+    level = reduced.coefficient_level()
     identity = tuple(RootOfUnity.one() for _ in range(n))
-    if base_level == 1:
+    if level == 1:
         return identity, 1, reduced
-    two_m = 2 * base_level
-    best = (base_level, identity, None, reduced)
-    candidates = [RootOfUnity(Fraction(k, two_m)) for k in range(two_m)]
-    tried = 0
-    for combo in itertools.product(candidates, repeat=n):
-        tried += 1
-        if tried > budget:
-            logger.warning("scaling search budget exhausted at level %d",
-                           best[0])
-            break
-        scaled = reduced.scale_variables(combo)
-        for divisor_key in sorted(scaled.terms):
-            div = scaled.terms[divisor_key]
-            inv = div.inverse()
-            level = 1
-            quotient = {}
-            for e, c in scaled.terms.items():
-                q = (c * inv).minimal_level()
-                quotient[e] = q
-                level = lcm(level, q.level)
-                if level >= best[0]:
-                    break
-            else:
-                best = (level, combo, divisor_key,
-                        LaurentPolynomial(n, quotient))
-                if level == 1:
-                    return combo, 1, best[3]
-    return best[1], best[0], best[3]
+    two_n = 2 * level
+    d, *others = sorted(reduced.terms)
+    ratios = [reduced.terms[e] / reduced.terms[d] for e in others]
+    scans = [[(r * CyclotomicNumber.zeta(two_n, j)).minimal_level().level
+              for j in range(two_n)] for r in ratios]
+    for m in _divisors(two_n):
+        admissible = [[j for j, lv in enumerate(scan) if m % lv == 0]
+                      for scan in scans]
+        if m >= level or m % 4 == 2 or not all(admissible):
+            continue
+        g = gcd(two_n, lcm(2, m))
+        rows = [[two_n * x for x in row] for row in identity_matrix(n)]
+        rows += [[g * (x - y) for x, y in zip(e, d)] for e in others]
+        rhs = [0] * n + [Fraction(g * js[0], two_n) for js in admissible]
+        sol = solve_exponent_congruences(rows, rhs)
+        if sol.consistent:
+            point = min(sol.class_points(), key=TorsionPoint.exponents)
+            scaled = reduced.scale_variables(list(point))
+            unit = scaled.terms[d].inverse()
+            return tuple(point), m, scaled.map_coefficients(
+                lambda c: (c * unit).minimal_level())
+    return identity, level, reduced
 
 
 def _galois_twist(f: LaurentPolynomial, exponent_for_level) -> LaurentPolynomial:
@@ -450,7 +450,8 @@ def _solve_hypersurface(f: LaurentPolynomial, stats: SolveStats,
         sub = _solve_hypersurface(fstar, stats, depth + 1)
         results.extend(pullback(sub))
         return maximal_filter(results)
-    scalings, _, scaled = minimal_level_normalize(work, stats.scaling_budget)
+    scalings, level, scaled = minimal_level_normalize(work)
+    stats.max_level = max(stats.max_level, level)
     sub = _solve_full_lattice(scaled, stats, depth)
     shift = TorsionPoint(scalings)
     results.extend(c.translate(shift) for c in sub)
@@ -570,11 +571,10 @@ def _slice_and_lift(system, a, omega: RootOfUnity, stats: SolveStats,
     return out
 
 
-def hypersurface_cosets(f: LaurentPolynomial,
-                        scaling_budget: int = 4096) -> SolveReport:
+def hypersurface_cosets(f: LaurentPolynomial) -> SolveReport:
     """All maximal torsion cosets on the hypersurface of f, with
     certification that every output lies on it."""
-    stats = SolveStats(scaling_budget)
+    stats = SolveStats()
     cosets = maximal_filter(_solve_hypersurface(f, stats, 0))
     certificates = [c.lies_on([f]) for c in cosets]
     if not all(certificates):
@@ -613,7 +613,7 @@ def _solve_variety(system, stats: SolveStats, depth: int):
     return maximal_filter(results)
 
 
-def variety_cosets(system, scaling_budget: int = 4096) -> SolveReport:
+def variety_cosets(system) -> SolveReport:
     """All maximal torsion cosets on the subvariety cut out by the
     system, with certification against every input polynomial."""
     system = list(system)
@@ -622,7 +622,7 @@ def variety_cosets(system, scaling_budget: int = 4096) -> SolveReport:
     nv = system[0].nvars
     if any(p.nvars != nv for p in system):
         raise ValueError("mixed variable counts in the system")
-    stats = SolveStats(scaling_budget)
+    stats = SolveStats()
     cosets = maximal_filter(_solve_variety(system, stats, 0))
     certificates = [c.lies_on(system) for c in cosets]
     if not all(certificates):

@@ -138,6 +138,15 @@ def test_cli_verify_budget(capsys, tmp_path):
     assert code == EXIT_BUDGET
 
 
+def test_cli_solve_has_no_budget(capsys, tmp_path):
+    # --budget sets the oracle grid of verify; solve takes no budget
+    path = tmp_path / "system.txt"
+    path.write_text("vars: x y\npoly: x + y - 1\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--input", str(path), "--budget", "5"])
+    assert exc.value.code == EXIT_PARSE_ERROR
+
+
 def test_cli_parse_error_exit(capsys, tmp_path):
     path = tmp_path / "system.txt"
     path.write_text("vars: x\npoly: x + qq\n")

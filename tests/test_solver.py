@@ -157,6 +157,97 @@ def test_minimal_level_normalize_scaling_consistency():
         assert c.translate(shift).lies_on([g])
 
 
+def _minimal_level_bruteforce(f):
+    # reference for minimal_level_normalize: every scaling in
+    # mu_(2N)^n in lex order and every divisor term, keeping the first
+    # choice that lowers the level
+    n = f.nvars
+    reduced = f.map_coefficients(lambda c: c.minimal_level())
+    base_level = reduced.coefficient_level()
+    identity = tuple(RootOfUnity.one() for _ in range(n))
+    if base_level == 1:
+        return identity, 1, reduced
+    two_m = 2 * base_level
+    best = (base_level, identity, reduced)
+    candidates = [RootOfUnity(Fraction(k, two_m)) for k in range(two_m)]
+    for combo in itertools.product(candidates, repeat=n):
+        scaled = reduced.scale_variables(combo)
+        for divisor_key in sorted(scaled.terms):
+            inv = scaled.terms[divisor_key].inverse()
+            level = 1
+            quotient = {}
+            for e, c in scaled.terms.items():
+                q = (c * inv).minimal_level()
+                quotient[e] = q
+                level = lcm(level, q.level)
+                if level >= best[0]:
+                    break
+            else:
+                best = (level, combo, L(n, quotient))
+                if level == 1:
+                    return combo, 1, best[2]
+    return best[1], best[0], best[2]
+
+
+def _random_level_input(rng, n, level):
+    # coefficients at a random divisor level, scaled by a root of unity
+    # of order dividing the level and times a constant of that level, so
+    # that many draws normalize below their level
+    sub = rng.choice([d for d in range(1, level + 1) if level % d == 0])
+    shift = [rng.randrange(level) for _ in range(n)]
+    const = CyclotomicNumber(level, [rng.randint(-1, 1) or 1
+                                     for _ in range(euler_phi(level))])
+    while True:
+        terms = {}
+        for _ in range(rng.randint(3, 4)):
+            e = tuple(rng.randint(0, 2) for _ in range(n))
+            c = CyclotomicNumber(sub, [rng.randint(-2, 2)
+                                       for _ in range(euler_phi(sub))])
+            if not c.is_zero():
+                terms[e] = c * const * CyclotomicNumber.zeta(
+                    level, sum(x * k for x, k in zip(e, shift)))
+        if len(terms) > 1:
+            return L(n, terms)
+
+
+def test_minimal_level_normalize_matches_bruteforce():
+    rng = random.Random(20261018)
+    cases = [(2, 3), (2, 4), (2, 8), (2, 12), (3, 3), (3, 4)] * 3
+    cases += [(2, 24), (3, 8), (3, 12)]
+    for n, level in cases:
+        f = _random_level_input(rng, n, level)
+        scal, m, fs = minimal_level_normalize(f)
+        ref_scal, ref_m, _ = _minimal_level_bruteforce(f)
+        assert m == ref_m, f
+        assert fs.coefficient_level() == m
+        # the first scaling of the search, divided by one coefficient
+        assert scal == ref_scal, f
+        scaled = f.scale_variables(scal)
+        e0 = sorted(fs.terms)[0]
+        assert fs == scaled.scale(fs.terms[e0] / scaled.terms[e0]), f
+
+
+def test_minimal_level_normalize_reproducer():
+    # a non-minimal level once dropped both torsion points of this f:
+    # -z8^3 x^3 - 2 z8^3 x y^2 + (2+2i) x y + (2+i)
+    z8 = CyclotomicNumber.zeta(8)
+    f = poly2({(3, 0): -z8 ** 3, (1, 2): -2 * z8 ** 3,
+               (1, 1): 2 + 2 * z4, (0, 0): 2 + z4})
+    rep = hypersurface_cosets(f)
+    assert len(rep.cosets) == 2
+    assert cross_check(rep, [f], 16).passed
+    assert rep.stats.as_dict()["max_level"] == 4
+    assert minimal_level_normalize(f)[1] == _minimal_level_bruteforce(f)[1] == 4
+    # z24 x + z24^5 y + z24^7 w + 1 reaches level 1 from level 24
+    z24 = CyclotomicNumber.zeta(24)
+    g = L(3, {(1, 0, 0): z24, (0, 1, 0): z24 ** 5, (0, 0, 1): z24 ** 7,
+              (0, 0, 0): 1})
+    scal, m, gs = minimal_level_normalize(g)
+    assert m == 1
+    assert all(c.level == 1 for c in gs.terms.values())
+    assert gs == g.scale_variables(scal)
+
+
 def test_auxiliary_polynomials_rational():
     f = fermat_line()
     kind, aux = auxiliary_polynomials(f)
@@ -268,6 +359,8 @@ def test_auxiliary_polynomials_matches_gcd_reference():
         level = (1, 3, 4, 8, 12)[i % 5]
         n = 3 if level in (1, 3, 4) and i % 2 else 2
         inputs.append(_random_normalized_full_lattice(rng, n, level))
+    for i in range(10):
+        inputs.append(_random_normalized_full_lattice(rng, 3, (8, 12)[i % 2]))
     # a common factor found by a zero resultant: f(x, -y) keeps x + y^2 + 2
     inputs.append(poly2({(1, 0): 1, (0, 1): 1, (0, 0): 1})
                   * poly2({(1, 0): 1, (0, 2): 1, (0, 0): 2}))
