@@ -424,6 +424,7 @@ def _cmd_verify(args) -> int:
             "spurious": [coset_to_json(c, False)
                          for c in oracle.spurious_cosets],
             "pass": oracle.passed,
+            "tested": oracle.tested,
         },
     }
     if args.format == "json":
@@ -431,7 +432,8 @@ def _cmd_verify(args) -> int:
     else:
         print(report_to_text(doc, report))
         print(f"oracle: {len(oracle.points)} point(s) up to order "
-              f"{oracle.max_order}; missed {len(oracle.missed_by_solver)}, "
+              f"{oracle.max_order} ({oracle.tested} exact test(s)); "
+              f"missed {len(oracle.missed_by_solver)}, "
               f"spurious {len(oracle.spurious_cosets)}: "
               f"{'PASS' if oracle.passed else 'FAIL'}")
     return EXIT_OK if oracle.passed else EXIT_VERIFY_MISMATCH
@@ -505,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
     p_verify.add_argument("--max-order", type=int, default=12)
     p_verify.add_argument("--budget", type=int, default=2_000_000,
-                          help="most grid points the oracle may test")
+                          help="most grid points the oracle may cover")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_bounds = sub.add_parser("bounds", help="print the explicit bounds")

@@ -577,12 +577,6 @@ def _dense_mul(a, b):
     return _dense_trim(out)
 
 
-def univariate_gcd(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
-    """Monic gcd of univariate Laurent polynomials over the coefficient
-    field."""
-    return _from_dense(_dense_gcd(_to_dense(f), _to_dense(g)))
-
-
 def squarefree_part(f: LaurentPolynomial) -> LaurentPolynomial:
     a = _to_dense(f)
     d = _dense_derivative(a)

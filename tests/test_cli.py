@@ -1,9 +1,10 @@
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from torsioncosets.arith import CyclotomicNumber
+from torsioncosets.arith import CyclotomicNumber, euler_phi
 from torsioncosets.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -128,6 +129,26 @@ def test_cli_verify_pass(capsys, tmp_path):
     assert data["oracle"]["pass"] is True
     assert data["oracle"]["missed"] == []
     assert data["oracle"]["spurious"] == []
+
+
+def test_cli_verify_reports_one_test_per_orbit(capsys, tmp_path):
+    # level 1: one exact test decides the phi(m) points of each orbit
+    path = tmp_path / "system.txt"
+    path.write_text("vars: x y\npoly: x + y - 1\n")
+    code = run(["verify", "--input", str(path), "--max-order", "12",
+                "--format", "json"])
+    assert code == EXIT_OK
+    oracle = json.loads(capsys.readouterr().out)["oracle"]
+    assert set(oracle) == {"maxOrder", "points", "missed", "spurious",
+                           "pass", "tested"}
+    per_order = [sum(1 for a in range(m) for b in range(m)
+                     if gcd(m, a, b) == 1) for m in range(1, 13)]
+    assert 0 < oracle["tested"] < sum(per_order)
+    assert oracle["tested"] == sum(points // euler_phi(m) for m, points
+                                   in enumerate(per_order, 1))
+    code = run(["verify", "--input", str(path), "--max-order", "12"])
+    assert code == EXIT_OK
+    assert f"({oracle['tested']} exact test(s))" in capsys.readouterr().out
 
 
 def test_cli_verify_budget(capsys, tmp_path):

@@ -1,12 +1,18 @@
+import random
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
-from torsioncosets.arith import CyclotomicNumber, TorsionPoint
+from torsioncosets.arith import CyclotomicNumber, TorsionPoint, euler_phi
 from torsioncosets.cosets import TorsionCoset
 from torsioncosets.lattices import IntegerLattice
 from torsioncosets.oracle import (
     BudgetExceededError,
+    _CompiledPoly,
+    _orbit_representatives,
+    _units,
     brute_force_points,
     cross_check,
 )
@@ -18,6 +24,33 @@ L = LaurentPolynomial
 
 def fermat_line():
     return L(2, {(1, 0): 1, (0, 1): 1, (0, 0): -1})
+
+
+# ---------------------------------------------------------------------------
+# reference: the full grid scan, one exact test per point
+
+
+def _exact_order_points(n, m):
+    return [k for k in product(range(m), repeat=n) if gcd(m, *k) == 1]
+
+
+def _grid_size(n, max_order):
+    return sum(len(_exact_order_points(n, m)) for m in range(1, max_order + 1))
+
+
+def _grid_points(system, max_order):
+    # every point of exact order m <= max_order tested on its own, with
+    # the same integer kernel as brute_force_points
+    system = list(system)
+    n = system[0].nvars
+    found = []
+    for m in range(1, max_order + 1):
+        compiled = [_CompiledPoly(f, m) for f in system]
+        for k in _exact_order_points(n, m):
+            if all(c.vanishes(k, m) for c in compiled):
+                found.append(tuple(Fraction(x, m) for x in k))
+    found.sort()
+    return [TorsionPoint(f) for f in found]
 
 
 def test_brute_force_examples():
@@ -93,3 +126,156 @@ def test_cross_check_gaussian_coefficients():
     rep = hypersurface_cosets(f)
     oracle = cross_check(rep, [f], 12)
     assert oracle.passed
+
+
+# ---------------------------------------------------------------------------
+# the Galois-orbit scan against the grid scan
+
+
+def _root_of_unity(rng, level):
+    # +-zeta_d^j for a d dividing the level, stored at the level itself,
+    # so the stored level is mostly not minimal
+    d = rng.choice([d for d in range(1, level + 1) if level % d == 0])
+    c = CyclotomicNumber.zeta(d, rng.randrange(d)).embed_to_level(level)
+    return c * rng.choice((1, -1))
+
+
+def _coefficient(rng, level):
+    kind = rng.random()
+    if kind < 0.75:
+        return _root_of_unity(rng, level)
+    if kind < 0.9:
+        return CyclotomicNumber.from_rational(
+            rng.choice((1, -1)) * rng.randint(1, 2)).embed_to_level(level)
+    while True:
+        c = CyclotomicNumber(level, [rng.randint(-2, 2)
+                                     for _ in range(euler_phi(level))])
+        if not c.is_zero():
+            return c
+
+
+def _random_system_poly(rng, n, level):
+    # a sparse polynomial at the given level, most often times a
+    # binomial x^e - zeta, whose coset puts torsion points on it
+    while True:
+        terms = {}
+        for _ in range(rng.choice((2, 3, 3, 4))):
+            e = tuple(rng.randint(-1, 3) for _ in range(n))
+            terms[e] = _coefficient(rng, level)
+        f = L(n, terms)
+        if len(f.terms) >= 2:
+            break
+    e = tuple(rng.randint(-1, 2) for _ in range(n))
+    if rng.random() < 0.7 and any(e):
+        f = f * L(n, {e: 1, (0,) * n: _root_of_unity(rng, level)})
+    return f
+
+
+def test_brute_force_points_matches_grid_scan():
+    rng = random.Random(20261018)
+    levels = (1, 3, 4, 5, 7, 8, 12, 24)
+    nonempty = 0
+    draws = 0
+    for n, max_order, count in ((1, 16, 16), (2, 16, 24), (3, 10, 12)):
+        for i in range(count):
+            level = levels[i % len(levels)]
+            system = [_random_system_poly(rng, n, level)]
+            if i % 3 == 2:
+                system.append(_random_system_poly(rng, n, rng.choice(levels)))
+            expected = _grid_points(system, max_order)
+            assert brute_force_points(system, max_order) == expected, \
+                (n, system)
+            nonempty += bool(expected)
+            draws += 1
+    # the sweep is only a check when many draws have torsion points
+    assert nonempty >= draws // 2
+
+
+def test_brute_force_points_non_minimal_stored_levels():
+    # zeta_6 stored at level 12 and a rational stored at level 8: the
+    # acting group is computed from the stored levels and shrinks, and
+    # the points stay the same
+    z6_at_12 = CyclotomicNumber.zeta(6).embed_to_level(12)
+    minus_one_at_8 = CyclotomicNumber.from_rational(-1).embed_to_level(8)
+    assert (z6_at_12.level, minus_one_at_8.level) == (12, 8)
+    f = L(2, {(1, 0): 1, (0, 1): z6_at_12, (0, 0): minus_one_at_8})
+    g = L(2, {(1, 0): 1, (0, 1): CyclotomicNumber.zeta(6), (0, 0): -1})
+    assert f.terms[(0, 1)].level == 12
+    pts = brute_force_points([f], 16)
+    assert pts == _grid_points([f], 16) == brute_force_points([g], 16)
+    assert pts
+    h = L(2, {(2, 1): minus_one_at_8, (0, 0): 1})
+    assert brute_force_points([f, h], 16) == _grid_points([f, h], 16)
+
+
+def test_orbit_representatives_partition_exact_order_points():
+    for n in (1, 2, 3):
+        for level in (1, 2, 3, 4, 6, 8, 12, 24, 60):
+            for m in range(1, 17):
+                group = _units(m, gcd(m, level))
+                assert len(group) == euler_phi(m) // euler_phi(gcd(m, level))
+                reps = list(_orbit_representatives(n, m, level))
+                assert reps == sorted(reps)
+                covered = []
+                for k in reps:
+                    orbit = [tuple(u * x % m for x in k) for u in group]
+                    assert k == min(orbit)
+                    covered += orbit
+                covered.sort()
+                assert covered == _exact_order_points(n, m), (n, level, m)
+
+
+def test_representatives_are_yielded_lazily():
+    reps = _orbit_representatives(3, 24, 1)
+    assert next(reps) == (0, 0, 1)
+    assert next(reps) == (0, 1, 0)
+
+
+def test_budget_boundary_is_the_jordan_totient_sum():
+    for n, max_order in ((1, 30), (2, 12), (3, 6)):
+        f = L(n, {(1,) + (0,) * (n - 1): 1, (0,) * n: -1})
+        total = _grid_size(n, max_order)
+        assert brute_force_points([f], max_order, budget=total) == \
+            _grid_points([f], max_order)
+        with pytest.raises(BudgetExceededError) as exc:
+            brute_force_points([f], max_order, budget=total - 1)
+        assert (exc.value.attempted, exc.value.budget) == (total, total - 1)
+
+
+def test_budget_check_stops_at_the_budget():
+    # the check sums the grid only until it passes the budget, so an
+    # absurd max order fails fast instead of looping up to it
+    with pytest.raises(BudgetExceededError) as exc:
+        brute_force_points([fermat_line()], 10 ** 12, budget=100)
+    assert exc.value.attempted == 101
+
+
+def test_over_budget_scan_compiles_and_tests_nothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the scan ran before the budget check")
+
+    monkeypatch.setattr(_CompiledPoly, "__init__", forbidden)
+    monkeypatch.setattr(_CompiledPoly, "vanishes", forbidden)
+    with pytest.raises(BudgetExceededError):
+        brute_force_points([fermat_line()], 40, budget=_grid_size(2, 40) - 1)
+
+
+def test_cross_check_counts_one_test_per_orbit(monkeypatch):
+    vanishes = _CompiledPoly.vanishes
+    calls = []
+
+    def counted(self, k, m):
+        calls.append((k, m))
+        return vanishes(self, k, m)
+
+    monkeypatch.setattr(_CompiledPoly, "vanishes", counted)
+    z4 = CyclotomicNumber.zeta(4)
+    for f, level in ((fermat_line(), 1),
+                     (L(2, {(1, 0): 1, (0, 1): z4, (0, 0): -1}), 4)):
+        calls.clear()
+        rep = cross_check(hypersurface_cosets(f), [f], 12)
+        orbits = sum(len(list(_orbit_representatives(2, m, level)))
+                     for m in range(1, 13))
+        assert rep.tested == len(calls) == len(set(calls)) == orbits
+        assert rep.tested < _grid_size(2, 12)
+        assert rep.points == _grid_points([f], 12)

@@ -21,7 +21,6 @@ from torsioncosets.poly import (
     multivariate_gcd,
     resultant,
     support_and_lattice,
-    univariate_gcd,
 )
 
 L = LaurentPolynomial
@@ -405,15 +404,6 @@ def test_divide_exact_laurent_units():
     assert q is not None
     assert q * f == shifted
     assert shifted.divide_exact(poly2({(1, 0): 1, (0, 0): 1})) is None
-
-
-def test_univariate_gcd():
-    x = L.variable(1, 0)
-    one = L.constant(1, 1)
-    f = (x - one) * (x + one)
-    g = (x - one) * (x * x + one)
-    d = univariate_gcd(f, g)
-    assert d == x - one
 
 
 def test_evaluate_and_vanishes_consistency():
