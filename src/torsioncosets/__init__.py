@@ -19,7 +19,6 @@ from .lattices import (
     IntegerLattice,
     extend_to_basis,
     hermite_normal_form,
-    polar_basis,
     smith_normal_form,
 )
 from .oracle import BudgetExceededError, OracleReport, brute_force_points, cross_check
@@ -65,7 +64,6 @@ __all__ = [
     "maximal_filter",
     "minimal_level_normalize",
     "multivariate_gcd",
-    "polar_basis",
     "reduce_rank_deficient",
     "rescale_to_full_lattice",
     "resultant",

@@ -305,27 +305,23 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
+        """Multiplicative inverse at the same level; raises
+        ZeroDivisionError on zero.  With P the product of the Galois
+        conjugates sigma_k(x), k != 1 a unit mod the level, the norm
+        x * P is rational and x^-1 = P / (x * P)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.is_rational():
-            q = 1 / self.to_fraction()
-            return CyclotomicNumber.from_rational(q)
-        lv = _level(self.level)
-        # extended Euclid in Q[x] against Phi_level
-        a = [Fraction(c, self.den) for c in self.num]
-        b = [Fraction(c) for c in lv.cyclo]
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-        r0, r1 = a, b
-        while any(r1):
-            q, r = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub_frac(s0, _poly_mul_frac(q, s1))
-        # r0 is a nonzero constant gcd (Phi irreducible over Q)
-        c = next(x for x in r0 if x)
-        inv_coords = [x / c for x in s0]
-        inv_coords += [Fraction(0)] * (lv.phi - len(inv_coords))
-        return _from_fraction_coords(self.level, inv_coords[:lv.phi])
+            return CyclotomicNumber(self.level, (self.den,) + self.num[1:],
+                                    self.num[0])
+        n = self.level
+        conj = CyclotomicNumber.one()
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                conj = conj * self.galois(k)
+        norm = self * conj
+        return CyclotomicNumber(n, [c * norm.den for c in conj.num],
+                                conj.den * norm.num[0])
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -412,38 +408,6 @@ def _from_fraction_coords(level: int, coords) -> CyclotomicNumber:
     for c in coords:
         den = lcm(den, Fraction(c).denominator)
     return CyclotomicNumber(level, [int(Fraction(c) * den) for c in coords], den)
-
-
-def _poly_divmod_frac(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db = max(i for i, c in enumerate(b) if c)
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for k in range(len(a) - 1 - db, -1, -1):
-        c = a[db + k]
-        if c:
-            f = c / b[db]
-            q[k] = f
-            for i in range(db + 1):
-                a[k + i] -= f * b[i]
-    return q, a
-
-
-def _poly_mul_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub_frac(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    for i, y in enumerate(b):
-        a[i] -= y
-    return a
 
 
 def _divisors(n: int) -> list[int]:

@@ -1,6 +1,6 @@
 """Integer lattice algorithms: Hermite and Smith normal forms with
-transformation matrices, saturation, orthogonal complements, polar
-bases, and completion of a primitive vector to a unimodular basis.
+transformation matrices, saturation, orthogonal complements, and
+completion of a primitive vector to a unimodular basis.
 
 All arithmetic is fraction-free over Python integers; matrices are
 lists of row lists.
@@ -77,26 +77,13 @@ def determinant(m) -> int:
 
 
 def mat_inverse_unimodular(u):
-    """Exact integer inverse of a matrix with determinant +-1."""
-    n = len(u)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(u)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    out = []
-    for row in aug:
-        vals = row[n:]
-        if any(v.denominator != 1 for v in vals):
-            raise ValueError("matrix is not unimodular")
-        out.append([int(v) for v in vals])
-    return out
+    """Exact integer inverse of a matrix with determinant +-1: the row
+    HNF of a unimodular matrix is the identity, and its transform T,
+    with T * u = I, is the inverse."""
+    h, t = hermite_normal_form(u)
+    if h != identity_matrix(len(u)):
+        raise ValueError("matrix is not unimodular")
+    return t
 
 
 def hermite_normal_form(rows) -> tuple[list[list[int]], list[list[int]]]:
@@ -400,26 +387,3 @@ def extend_to_basis(a) -> list[list[int]]:
                     u[i] = [x - mu * y for x, y in zip(u[i], rj)]
     return u
 
-
-def polar_basis(rows) -> list[list[Fraction]]:
-    """Rows a*_j with <a_i, a*_j> = delta_ij: the inverse transpose of
-    the (square, nonsingular) basis matrix."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("basis matrix must be square")
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c]), None)
-        if piv is None:
-            raise ValueError("basis matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    inv_rows = [row[n:] for row in aug]
-    # polar basis rows are the columns of the inverse
-    return [[inv_rows[i][j] for i in range(n)] for j in range(n)]

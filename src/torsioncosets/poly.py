@@ -25,11 +25,7 @@ from .arith import (
     cyclotomic_polynomial,
     euler_phi,
 )
-from .lattices import (
-    IntegerLattice,
-    determinant,
-    mat_inverse_unimodular,
-)
+from .lattices import IntegerLattice, mat_inverse_unimodular
 
 
 def _coerce_coeff(c) -> CyclotomicNumber:
@@ -260,9 +256,8 @@ class LaurentPolynomial:
     def monoidal_image(self, u) -> "LaurentPolynomial":
         """Image under the coordinate change Y_i = X^{u_i} for the rows
         u_i of the unimodular matrix u: the term at exponent i moves to
-        the exponent j with j*u = i."""
-        if abs(determinant([list(r) for r in u])) != 1:
-            raise ValueError("matrix is not unimodular")
+        the exponent j with j*u = i.  Raises ValueError when u is not
+        unimodular."""
         v = mat_inverse_unimodular([list(r) for r in u])
         out = {}
         for e, c in self.terms.items():
@@ -580,7 +575,8 @@ def _dense_mul(a, b):
 def squarefree_part(f: LaurentPolynomial) -> LaurentPolynomial:
     a = _to_dense(f)
     d = _dense_derivative(a)
-    if not d:
+    if len(d) <= 1:
+        # a constant derivative: f has degree at most one
         return _from_dense(a)
     g = _dense_gcd(a, d)
     if len(g) == 1:
@@ -685,14 +681,9 @@ def cyclotomic_roots(g: LaurentPolynomial):
         raise ValueError("zero polynomial has no cyclotomic part")
     if g.nvars != 1:
         raise ValueError("univariate polynomial expected")
-    dense = _to_dense(g)
-    if len(dense) <= 1:
+    if len(g.terms) == 1:
         return [], LaurentPolynomial.constant(1, 1)
-    sq = _dense_gcd(dense, _dense_derivative(dense)) if len(dense) > 2 else [CyclotomicNumber.one()]
-    if len(sq) > 1:
-        h, _ = _dense_divmod(dense, sq)
-    else:
-        h = dense
+    h = _to_dense(squarefree_part(g))
     level = 1
     for c in h:
         level = lcm(level, c.level)

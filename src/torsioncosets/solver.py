@@ -9,6 +9,13 @@ polynomials (sign twists, squared twists and Galois twists, depending on
 the coefficient field), eliminates one variable by resultants, and
 recurses on the candidate projections.  General systems recurse through
 slices of the first hypersurface's positive-dimensional cosets.
+
+Both lattice reductions are integer coordinate changes read off one
+Hermite normal form: the HNF of the transposed support drops every
+variable missing from the exponent lattice in one step, and the HNF
+coordinates of each exponent over L(f) give the rescaled exponents.
+Univariate resultants are passed on as they are; cyclotomic_roots
+takes their squarefree part itself.
 """
 
 from __future__ import annotations
@@ -28,9 +35,9 @@ from .lattices import (
     IntegerLattice,
     determinant,
     extend_to_basis,
+    hermite_normal_form,
     identity_matrix,
     mat_inverse_unimodular,
-    polar_basis,
     transpose,
 )
 from .poly import (
@@ -39,7 +46,6 @@ from .poly import (
     cyclotomic_roots,
     multivariate_gcd,
     resultant,
-    squarefree_part,
 )
 
 logger = logging.getLogger(__name__)
@@ -176,14 +182,6 @@ def binomial_cosets(f: LaurentPolynomial):
 # lattice reductions
 
 
-def _left_kernel(mat, ambient):
-    # {c in Z^ambient : c * mat = 0}
-    cols = transpose(mat)
-    if not cols:
-        return IntegerLattice.full(ambient)
-    return IntegerLattice(ambient, cols).orthogonal_complement()
-
-
 def _anchor_shift(f: LaurentPolynomial) -> LaurentPolynomial:
     # translate the support so that it lies inside the exponent lattice
     anchor = sorted(f.terms)[0]
@@ -197,88 +195,53 @@ def _anchor_shift(f: LaurentPolynomial) -> LaurentPolynomial:
 def reduce_rank_deficient(f: LaurentPolynomial):
     """For rank L(f) = r < n, produce the r-variable polynomial whose
     cosets lift to the cosets of f, together with the lift map (each
-    lifted coset gains the free directions, one dimension per removed
-    variable)."""
-    steps = []
+    lifted coset gains n - r free directions).  With T unimodular and
+    T * S^T = [H; 0] the row HNF of the transposed support S, the
+    coordinate change X_i = Y^(T^T)_i moves the term at e to (T e)[:r],
+    free of Y_(r+1), ..., Y_n; the lift pads a coset with those free
+    coordinates and transforms it by T^T."""
     work = _anchor_shift(f)
-    while True:
-        n = work.nvars
-        lat = work.exponent_lattice()
-        if lat.rank == n:
-            break
-        comp = lat.orthogonal_complement()
-        s = list(comp.rows[0])
-        j = max(i for i, x in enumerate(s) if x)
-        perm = None
-        if j != n - 1:
-            perm = identity_matrix(n)
-            perm[j], perm[n - 1] = perm[n - 1], perm[j]
-            work = work.monoidal_image(perm)
-            s[j], s[n - 1] = s[n - 1], s[j]
-        rows = []
-        for i in range(n - 1):
-            row = [0] * n
-            row[i] = 1
-            row[n - 1] = s[i]
-            rows.append(row)
-        last = [0] * n
-        last[n - 1] = s[n - 1]
-        rows.append(last)
-        # substituting the isogeny of the triangular basis kills X_n
-        reduced = {}
-        for e, c in work.terms.items():
-            if sum(x * y for x, y in zip(e, s)):
-                raise RuntimeError("internal error: support not orthogonal "
-                                   "to the complement vector")
-            reduced[e[:-1]] = c
-        steps.append((perm, rows, n))
-        work = LaurentPolynomial(n - 1, reduced)
-        work = _anchor_shift(work)
+    n = work.nvars
+    h, t = hermite_normal_form(transpose(sorted(work.terms)))
+    r = len(h)
+    reduced = {}
+    for e, c in work.terms.items():
+        image = [sum(x * y for x, y in zip(row, e)) for row in t]
+        if any(image[r:]):
+            raise RuntimeError("internal error: support outside the span "
+                               "of the HNF rows")
+        reduced[tuple(image[:r])] = c
+    back = transpose(t)
+    pad = [RootOfUnity.one()] * (n - r)
 
     def lift(cosets):
-        current = list(cosets)
-        for perm, rows, n in reversed(steps):
-            lifted = []
-            for c in current:
-                point = TorsionPoint(list(c.point) + [RootOfUnity.one()])
-                lat_rows = [list(r) + [0] for r in c.lattice.rows]
-                embedded = TorsionCoset(point, IntegerLattice(n, lat_rows))
-                image_point = TorsionPoint(
-                    [embedded.point.power(a) for a in rows])
-                g = embedded.exponent_matrix()
-                m = [[sum(rows[i][k] * gr[k] for k in range(n)) for gr in g]
-                     for i in range(n)]
-                lattice = _left_kernel(m, n)
-                out = TorsionCoset(image_point, lattice)
-                if perm is not None:
-                    out = out.transform(perm)
-                lifted.append(out)
-            current = lifted
-        return current
+        return [TorsionCoset(TorsionPoint(list(c.point) + pad),
+                             IntegerLattice(n, [list(row) + [0] * (n - r)
+                                                for row in c.lattice.rows]))
+                .transform(back) for c in cosets]
 
-    return work, lift
+    return LaurentPolynomial(r, reduced), lift
 
 
 def rescale_to_full_lattice(f: LaurentPolynomial):
     """For rank L(f) = n with L(f) a proper sublattice of Z^n, rewrite
-    the exponents in the coordinates of the polar basis so that the new
-    polynomial has exponent lattice Z^n; its cosets pull back through
-    the isogeny, det(L(f)) classes at a time."""
+    each exponent e = sum c_i a_i by its integer coordinates c over the
+    HNF rows a_i of L(f), which are its polar coordinates <e, a*_i>, so
+    that the new polynomial has exponent lattice Z^n; its cosets pull
+    back through the isogeny, det(L(f)) classes at a time."""
     n = f.nvars
     work = _anchor_shift(f)
     lat = work.exponent_lattice()
     if lat.rank != n:
         raise ValueError("exponent lattice must have full rank")
     a_rows = [list(r) for r in lat.rows]
-    a_star = polar_basis(a_rows)
     out = {}
     for e, c in work.terms.items():
-        coords = [sum(Fraction(x) * y for x, y in zip(e, star))
-                  for star in a_star]
-        if any(q.denominator != 1 for q in coords):
+        coords = lat.coefficients(e)
+        if coords is None:
             raise RuntimeError("internal error: exponent outside the "
-                               "lattice in polar coordinates")
-        out[tuple(int(q) for q in coords)] = c
+                               "exponent lattice")
+        out[tuple(coords)] = c
     fstar = LaurentPolynomial(n, out)
 
     def pullback(cosets):
@@ -495,8 +458,6 @@ def _solve_full_lattice(f: LaurentPolynomial, stats: SolveStats,
             continue
         stats.max_resultant_degree = max(stats.max_resultant_degree,
                                          gk.total_degree())
-        if gk.nvars == 1:
-            gk = squarefree_part(gk)
         key = _poly_associate_key(gk)
         if key in seen_resultants:
             continue

@@ -94,6 +94,17 @@ def test_field_axioms_random():
         if not a.is_zero():
             assert a * a.inverse() == CyclotomicNumber.one()
         assert a + (-a) == CyclotomicNumber.zero()
+    # the inverse stays at the stored level: composite levels, a number
+    # stored above its minimal level and a rational stored at level 8
+    stored = [zeta(6).embed_to_level(12),
+              CyclotomicNumber.from_rational(Fraction(-3, 7)).embed_to_level(8)]
+    for a in [_random_cyclo(rng, n) for n in (24, 60) for _ in range(10)] + stored:
+        b = _random_cyclo(rng, a.level)
+        assert (a * b) * a == a * (b * a)
+        assert a * (b + a) == a * b + a * a
+        if not a.is_zero():
+            assert a * a.inverse() == CyclotomicNumber.one()
+            assert a.inverse().level == a.level
 
 
 def test_embedding_commutes_with_arithmetic():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from torsioncosets.arith import TorsionPoint
+from torsioncosets.cosets import TorsionCoset
 from torsioncosets.lattices import (
     IntegerLattice,
     determinant,
@@ -12,10 +14,10 @@ from torsioncosets.lattices import (
     mat_inverse_unimodular,
     mat_mul,
     orthogonal_complement,
-    polar_basis,
     saturation,
     smith_normal_form,
 )
+from torsioncosets.poly import LaurentPolynomial
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -191,33 +193,6 @@ def test_extend_to_basis_random():
         assert abs(determinant(u)) == 1
 
 
-def test_polar_basis():
-    p = polar_basis([[2, 0], [0, 2]])
-    assert p == [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
-    assert polar_basis(identity_matrix(3)) == [
-        [1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    p = polar_basis([[1, 1], [0, 1]])
-    assert p == [[1, 0], [-1, 1]]
-    with pytest.raises(ValueError):
-        polar_basis([[1, 1], [2, 2]])
-
-
-def test_polar_basis_delta_products():
-    rng = random.Random(4)
-    done = 0
-    while done < 40:
-        n = rng.randint(1, 4)
-        a = random_matrix(rng, n, n, -5, 5)
-        if determinant(a) == 0:
-            continue
-        done += 1
-        p = polar_basis(a)
-        for i in range(n):
-            for j in range(n):
-                dot = sum(Fraction(x) * y for x, y in zip(a[i], p[j]))
-                assert dot == (1 if i == j else 0)
-
-
 def test_unimodular_inverse():
     rng = random.Random(21)
     for _ in range(40):
@@ -225,3 +200,24 @@ def test_unimodular_inverse():
         u = random_unimodular(rng, n)
         inv = mat_inverse_unimodular(u)
         assert mat_mul(u, inv) == identity_matrix(n)
+
+
+NON_UNIMODULAR = [
+    [[2, 0], [0, 1]],
+    [[1, 2], [2, 4]],  # singular
+    [[1, 0, 0], [0, 1, 0], [1, 1, -3]],  # determinant -3
+]
+
+
+@pytest.mark.parametrize("u", NON_UNIMODULAR)
+def test_non_unimodular_input_raises(u):
+    n = len(u)
+    assert abs(determinant(u)) != 1
+    with pytest.raises(ValueError, match="not unimodular"):
+        mat_inverse_unimodular(u)
+    f = LaurentPolynomial(n, {(0,) * n: 1, (1,) + (0,) * (n - 1): 1})
+    with pytest.raises(ValueError, match="not unimodular"):
+        f.monoidal_image(u)
+    coset = TorsionCoset.from_point(TorsionPoint([Fraction(1, 2)] * n))
+    with pytest.raises(ValueError, match="not unimodular"):
+        coset.transform(u)

@@ -126,6 +126,45 @@ def test_rescale_to_full_lattice_examples():
         rescale_to_full_lattice(poly2({(1, 0): 1, (0, 0): 1}))
 
 
+def _disguised_rank_deficient(rng, n, r, level):
+    # a polynomial in r variables with unit coefficients, embedded in n
+    # variables, moved by a random unimodular image and a monomial shift
+    while True:
+        terms = {}
+        for _ in range(rng.randint(2, 3)):
+            e = tuple(rng.randint(0, 3) for _ in range(r)) + (0,) * (n - r)
+            terms[e] = (CyclotomicNumber.zeta(level, rng.randrange(level))
+                        * rng.choice((1, -1)))
+        g = L(n, terms)
+        if g.exponent_lattice().rank == r:
+            break
+    u = identity_matrix(n)
+    for _ in range(8):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    shift = [rng.randint(-2, 2) for _ in range(n)]
+    return L(n, {tuple(x + s for x, s in zip(e, shift)): c
+                 for e, c in g.monoidal_image(u).terms.items()})
+
+
+def test_reduce_rank_deficient_sweep():
+    # one HNF step drops all n - r variables at once, also n - r = 2, 3
+    rng = random.Random(8128)
+    with_cosets = 0
+    for n, r, level in itertools.product((3, 4), (1, 2), (1, 3, 4)):
+        f = _disguised_rank_deficient(rng, n, r, level)
+        fstar, lift = reduce_rank_deficient(f)
+        assert fstar.nvars == r
+        assert fstar.exponent_lattice().rank == r
+        lifted = lift(hypersurface_cosets(fstar).cosets)
+        assert all(c.dimension >= n - r and c.lies_on([f]) for c in lifted)
+        with_cosets += bool(lifted)
+        rep = hypersurface_cosets(f)
+        assert cross_check(rep, [f], 12).passed
+    assert with_cosets >= 6
+
+
 def test_minimal_level_normalize_examples():
     z8 = CyclotomicNumber.zeta(8)
     f = poly2({(1, 0): z8, (0, 1): z8, (0, 0): -z8})

@@ -34,3 +34,33 @@ def test_oracle_imports_nothing_from_the_library_but_arith():
                       if alias.name.startswith("torsioncosets")
                       and alias.name != "torsioncosets.arith"]
     assert found == []
+
+
+def _package_imports(tree):
+    # (line, bound name) of every name imported from the package itself
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("torsioncosets")):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_package_imports_are_used():
+    # a name imported from the package and never used is dead code left
+    # behind by a refactor; __init__.py re-exports and is exempt
+    found = []
+    for path in sorted(Path(torsioncosets.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line}: {name}"
+                  for line, name in _package_imports(tree) if name not in used]
+    assert found == []
+
+
+def test_public_names_resolve():
+    missing = [name for name in torsioncosets.__all__
+               if not hasattr(torsioncosets, name)]
+    assert missing == []
+    assert len(set(torsioncosets.__all__)) == len(torsioncosets.__all__)
