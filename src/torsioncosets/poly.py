@@ -6,7 +6,11 @@ structural operations the torsion-coset machinery needs: support and
 exponent-lattice extraction, images under monoidal (unimodular)
 coordinate changes, coset slices, torsion specialization, multi-prime
 modular Sylvester resultants, multivariate gcd, and exact root-of-unity
-root finding for univariate inputs.
+root finding for univariate inputs.  The univariate layer works modulo
+one prime p = 1 (mod M) first: zeta_M -> w, a root of Phi_M mod p, is a
+ring map Z[zeta_M] -> F_p, so a nonzero residue proves a candidate root
+is none and a nonzero discriminant proves squarefreeness.  Only a zero
+residue goes on to exact arithmetic.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .arith import (
     CyclotomicNumber,
     RootOfUnity,
     TorsionPoint,
+    _divisors,
     _level,
     cyclotomic_polynomial,
     euler_phi,
@@ -258,10 +263,13 @@ class LaurentPolynomial:
         u_i of the unimodular matrix u: the term at exponent i moves to
         the exponent j with j*u = i.  Raises ValueError when u is not
         unimodular."""
-        v = mat_inverse_unimodular([list(r) for r in u])
+        return self._map_exponents(mat_inverse_unimodular([list(r) for r in u]))
+
+    def _map_exponents(self, m) -> "LaurentPolynomial":
+        # the term at exponent e moves to e * m
         out = {}
         for e, c in self.terms.items():
-            j = tuple(sum(e[k] * v[k][t] for k in range(self.nvars))
+            j = tuple(sum(e[k] * m[k][t] for k in range(self.nvars))
                       for t in range(self.nvars))
             out[j] = c
         return LaurentPolynomial(self.nvars, out)
@@ -366,10 +374,9 @@ class LaurentPolynomial:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPolynomial.zero(self.nvars)
-        f, _ = self.strip_monomial_content()
-        g, _ = other.strip_monomial_content()
-        shift = tuple(a - b for a, b in zip(
-            self._shift_vector(), other._shift_vector()))
+        f, f_shift = self.strip_monomial_content()
+        g, g_shift = other.strip_monomial_content()
+        shift = tuple(a - b for a, b in zip(f_shift, g_shift))
         quot: dict[tuple[int, ...], CyclotomicNumber] = {}
         ge, gc = g.leading_term_lex()
         gc_inv = gc.inverse()
@@ -386,9 +393,6 @@ class LaurentPolynomial:
         if any(shift):
             q = LaurentPolynomial.monomial(self.nvars, shift, 1) * q
         return q
-
-    def _shift_vector(self):
-        return tuple(min(e[i] for e in self.terms) for i in range(self.nvars))
 
     def is_unit(self) -> bool:
         return len(self.terms) == 1
@@ -559,25 +563,39 @@ def _dense_derivative(a):
     return _dense_trim([a[i] * i for i in range(1, len(a))])
 
 
-def _dense_mul(a, b):
-    if not a or not b:
-        return []
-    out = [CyclotomicNumber.zero() for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    return _dense_trim(out)
+def _eval_mod(coeffs, x: int, p: int) -> int:
+    # sum c_k x^k mod p, by Horner; with x the image of zeta_N, the image
+    # of power-basis coordinates
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
 
 
 def squarefree_part(f: LaurentPolynomial) -> LaurentPolynomial:
+    """h / gcd(h, h') over Q(zeta_N), N the coefficient level, for h = f
+    with its monomial content cleared.  Modulo one prime first: with
+    (p, r) = _kernel_prime(N), P = (p, zeta_N - r) has residue field F_p.
+    If p divides no denominator, a nonzero Sylvester determinant of the
+    images (h~, h~') at the formal shape (deg h, deg h - 1) proves h
+    squarefree.  Its first column holds lc(h~), so lc(h) is a unit at P.
+    If h = u a^2 b with a nonconstant, Gauss's lemma over the DVR at P
+    makes a, b primitive and u integral, so lc(a) is a unit, deg a~ =
+    deg a > 0, and a~ divides h~ and h~': the determinant would be zero.
+    Every other case takes the exact gcd with the derivative."""
     a = _to_dense(f)
-    d = _dense_derivative(a)
-    if len(d) <= 1:
+    if len(a) <= 2:
         # a constant derivative: f has degree at most one
         return _from_dense(a)
+    level = lcm(*(c.level for c in a))
+    p, w = _kernel_prime(level)
+    if all(c.den % p for c in a):
+        img = [_eval_mod(c.num, pow(w, level // c.level, p), p)
+               * pow(c.den, -1, p) % p for c in a]
+        der = [k * x % p for k, x in enumerate(img)][1:]
+        if _sylvester_mod(img, der, p):
+            return _from_dense(a)
+    d = _dense_derivative(a)
     g = _dense_gcd(a, d)
     if len(g) == 1:
         return _from_dense(a)
@@ -590,33 +608,6 @@ def squarefree_part(f: LaurentPolynomial) -> LaurentPolynomial:
 
 # ---------------------------------------------------------------------------
 # roots of unity of a univariate polynomial
-
-
-def _dense_compose_power(a, factor, sign):
-    # a(sign * X^factor) for sign in {1, -1}
-    out = [CyclotomicNumber.zero() for _ in range((len(a) - 1) * factor + 1)]
-    for i, c in enumerate(a):
-        if not c.is_zero():
-            out[i * factor] = c if (sign == 1 or i % 2 == 0) else -c
-    return out
-
-
-def _rational_prefilter(a):
-    """Shrink a rational squarefree polynomial while keeping every root
-    of unity: iterate h <- gcd(h, h(-X) h(X^2) h(-X^2)).  Any root of
-    unity w has a conjugate among -w, w^2, -w^2, so each factor keeps
-    the corresponding class of roots."""
-    while len(a) > 2:
-        prod = _dense_mul(_dense_compose_power(a, 1, -1),
-                          _dense_mul(_dense_compose_power(a, 2, 1),
-                                     _dense_compose_power(a, 2, -1)))
-        g = _dense_gcd(a, prod)
-        if len(g) == len(a):
-            return g
-        if len(g) <= 1:
-            return g
-        a = g
-    return a
 
 
 def _orders_with_phi_at_most(bound: int) -> list[int]:
@@ -652,6 +643,7 @@ def _orders_with_phi_at_most(bound: int) -> list[int]:
     return sorted(out)
 
 
+@cache
 def _unit_orbits(d: int, big: int, level: int):
     """Orbits of the primitive residues mod d under the Galois action
     that fixes Q(zeta_level): multiplication by {t mod d : t in
@@ -674,41 +666,39 @@ def cyclotomic_roots(g: LaurentPolynomial):
     exponent), together with the cyclotomic part prod (X - w).
 
     Enumerates candidate orders d with phi(lcm(d, N)) <= deg * phi(N)
-    (N the coefficient level) and tests exact vanishing, one Galois
-    orbit at a time.
-    """
+    (N the coefficient level) over the squarefree part h, one Galois
+    orbit at a time.  With (p, w) = _kernel_prime(M), M = lcm(d, N),
+    zeta_M -> w is a ring map Z[zeta_M] -> F_p, so a nonzero residue of
+    the cleared h(zeta_d^a) proves it nonzero, with no bound; only a zero
+    residue goes on to the exact vanishing test."""
     if g.is_zero():
         raise ValueError("zero polynomial has no cyclotomic part")
     if g.nvars != 1:
         raise ValueError("univariate polynomial expected")
     if len(g.terms) == 1:
         return [], LaurentPolynomial.constant(1, 1)
-    h = _to_dense(squarefree_part(g))
-    level = 1
-    for c in h:
-        level = lcm(level, c.level)
-    if level == 1:
-        h = _rational_prefilter(h)
-        if len(h) <= 1:
-            return [], LaurentPolynomial.constant(1, 1)
-    hpoly = _from_dense(h)
-    deg = len(h) - 1
+    hpoly = squarefree_part(g)
+    level = hpoly.coefficient_level()
+    deg = hpoly.degree_in(0)
     phi_n = euler_phi(level)
-    bound = deg * phi_n
     rows = hpoly._eval_data()
     roots: list[RootOfUnity] = []
     found_degree = 0
-    for d in _orders_with_phi_at_most(bound):
+    for d in _orders_with_phi_at_most(deg * phi_n):
         if found_degree >= deg:
             break
         big = lcm(d, level)
-        phi_big = euler_phi(big)
-        if phi_big > bound:
+        # phi(M) / phi(N): the degree of zeta_d over Q(zeta_N)
+        if found_degree + euler_phi(big) // phi_n > deg:
             continue
-        min_poly_degree = phi_big // phi_n
-        if found_degree + min_poly_degree > deg:
-            continue
+        p, w = _kernel_prime(big)
+        imgs = [0] * (deg + 1)
+        for (e,), lev, num, mult in rows:
+            imgs[e] = mult * _eval_mod(num, pow(w, big // lev, p), p)
+        wd = pow(w, big // d, p)
         for orbit in _unit_orbits(d, big, level):
+            if _eval_mod(imgs, pow(wd, orbit[0], p), p):
+                continue
             point = TorsionPoint([Fraction(orbit[0], d)])
             if _vanishes_at_root_terms(rows, point):
                 for a in orbit:
@@ -746,18 +736,29 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _root_of_phi(p: int, level: int) -> int:
+    # the first t^((p-1)/level), t = 2, 3, ..., of exact order level mod a
+    # prime p = 1 (mod level): a root of Phi_level
+    proper = _divisors(level)[:-1]
+    return next(w for w in (pow(t, (p - 1) // level, p) for t in range(2, p))
+                if all(pow(w, e, p) != 1 for e in proper))
+
+
+@cache
+def _kernel_prime(level: int) -> tuple[int, int]:
+    # (p, w): the least prime p = 1 (mod level) above 2^31 and its
+    # _root_of_phi; the univariate layer works modulo this one prime
+    p = 2**31 + 1 + (-2**31) % level
+    while not _is_prime(p):
+        p += level
+    return p, _root_of_phi(p, level)
+
+
 def _field_data(p: int, level: int):
     # (p, roots, vinv): the roots of Phi_level mod a prime p = 1 (mod level)
     # and their inverse Vandermonde matrix (values to coordinates)
     cyclo = cyclotomic_polynomial(level)
-
-    def at(poly, x):
-        return sum(c * pow(x, k, p) for k, c in enumerate(poly)) % p
-
-    # t^((p-1)/level) is a root of Phi_level exactly when its order is
-    # the level
-    w = next(w for w in (pow(t, (p - 1) // level, p) for t in range(2, p))
-             if at(cyclo, w) == 0)
+    w = _root_of_phi(p, level)
     roots = [pow(w, k, p) for k in range(1, level + 1) if gcd(k, level) == 1]
     # Lagrange: Phi_level = prod (X - r), so the basis polynomial of the
     # root r is (Phi_level / (X - r)) / Phi_level'(r)
@@ -767,7 +768,7 @@ def _field_data(p: int, level: int):
         for c in reversed(cyclo[1:]):
             acc = (acc * r + c) % p
             quot.append(acc)
-        scale = pow(at(quot[::-1], r), -1, p)
+        scale = pow(_eval_mod(quot[::-1], r, p), -1, p)
         cols.append([c * scale % p for c in reversed(quot)])
     return p, roots, [list(row) for row in zip(*cols)]
 
@@ -1006,12 +1007,9 @@ def multivariate_gcd(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolyn
     var = used[-1]
     if not (any(e[var] for e in f.terms) and any(e[var] for e in g.terms)):
         # main variable missing from one input: gcd divides the contents
-        fng = f if not any(e[var] for e in f.terms) else g
-        other = g if fng is f else f
+        missing, other = (f, g) if not any(e[var] for e in f.terms) else (g, f)
         cont, _ = _content_and_primitive(other.coefficients_in(var))
-        missing = fng
-        red_a = _drop_and_gcd(missing, cont, var)
-        return red_a
+        return _drop_and_gcd(missing, cont, var)
     cont_f, ppf = _content_and_primitive(f.coefficients_in(var))
     cont_g, ppg = _content_and_primitive(g.coefficients_in(var))
     cont = multivariate_gcd(cont_f, cont_g) if not (cont_f.is_unit() or cont_g.is_unit()) \

@@ -142,7 +142,6 @@ def binomial_cosets(f: LaurentPolynomial):
         coeffs = work_u.coefficients_in(0)
         if len(coeffs) < 2:
             # single power of Y1: no binomial factor in this direction
-            work = work_u.monoidal_image(mat_inverse_unimodular(u))
             continue
         # one profile polynomial in Y1; common roots are verified on the
         # whole transformed polynomial afterwards
@@ -171,10 +170,7 @@ def binomial_cosets(f: LaurentPolynomial):
                 if work_u.is_unit() or not work_u.substitute_root(0, w).is_zero():
                     break
         if changed:
-            work = work_u.monoidal_image(mat_inverse_unimodular(u))
-            work, _ = work.strip_monomial_content()
-        else:
-            work = work_u.monoidal_image(mat_inverse_unimodular(u))
+            work, _ = work_u._map_exponents(u).strip_monomial_content()
     return found, work
 
 

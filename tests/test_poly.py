@@ -20,6 +20,7 @@ from torsioncosets.poly import (
     cyclotomic_roots,
     multivariate_gcd,
     resultant,
+    squarefree_part,
     support_and_lattice,
 )
 
@@ -100,6 +101,85 @@ def _resultant_bareiss(f, g, var):
         prev = a[k][k]
     det = a[size - 1][size - 1]
     return det if sign == 1 else -det
+
+
+# ---------------------------------------------------------------------------
+# differential oracles for the univariate layer: exact arithmetic only,
+# no residue modulo a prime
+
+
+def _squarefree_exact(f):
+    # f / gcd(f, f') by the exact pseudo-remainder gcd alone
+    a = poly._to_dense(f)
+    d = poly._dense_derivative(a)
+    if len(d) <= 1:
+        return poly._from_dense(a)
+    g = poly._dense_gcd(a, d)
+    if len(g) == 1:
+        return poly._from_dense(a)
+    q, r = _dense_divmod(a, g)
+    assert not r
+    return poly._from_dense(q)
+
+
+def _dense_mul(a, b):
+    out = [CyclotomicNumber.zero() for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _dense_trim(out)
+
+
+def _dense_compose_power(a, factor, sign):
+    # a(sign * X^factor) for sign in {1, -1}
+    out = [CyclotomicNumber.zero() for _ in range((len(a) - 1) * factor + 1)]
+    for i, c in enumerate(a):
+        out[i * factor] = c if (sign == 1 or i % 2 == 0) else -c
+    return out
+
+
+def _rational_prefilter(a):
+    # shrink a rational squarefree polynomial while keeping every root of
+    # unity: h <- gcd(h, h(-X) h(X^2) h(-X^2)); any root of unity w has a
+    # conjugate among -w, w^2, -w^2
+    while len(a) > 2:
+        prod = _dense_mul(_dense_compose_power(a, 1, -1),
+                          _dense_mul(_dense_compose_power(a, 2, 1),
+                                     _dense_compose_power(a, 2, -1)))
+        g = poly._dense_gcd(a, prod)
+        if len(g) == len(a) or len(g) <= 1:
+            return g
+        a = g
+    return a
+
+
+def _cyclotomic_roots_exact(g):
+    # the root finder with every candidate orbit tested exactly
+    if len(g.terms) == 1:
+        return [], L.constant(1, 1)
+    h = poly._to_dense(_squarefree_exact(g))
+    level = lcm(*(c.level for c in h))
+    if level == 1:
+        h = _rational_prefilter(h)
+        if len(h) <= 1:
+            return [], L.constant(1, 1)
+    rows = poly._from_dense(h)._eval_data()
+    deg, phi_n = len(h) - 1, euler_phi(level)
+    roots, found_degree = [], 0
+    for d in poly._orders_with_phi_at_most(deg * phi_n):
+        big = lcm(d, level)
+        if found_degree >= deg or found_degree + euler_phi(big) // phi_n > deg:
+            continue
+        for orbit in poly._unit_orbits(d, big, level):
+            if poly._vanishes_at_root_terms(
+                    rows, TorsionPoint([Fraction(orbit[0], d)])):
+                roots += [RootOfUnity(Fraction(a, d)) for a in orbit]
+                found_degree += len(orbit)
+    roots.sort()
+    part = L.constant(1, 1)
+    for w in roots:
+        part = part * L(1, {(1,): 1, (0,): -w.to_cyclotomic()})
+    return roots, part
 
 
 def poly2(spec):
@@ -559,3 +639,95 @@ def test_resultant_differential_sweep():
                     assert _needs_two_primes(f, g, var)
                     assert resultant(f, g, var) == _resultant_bareiss(f, g, var)
     assert multi_prime >= 100
+
+
+# ---------------------------------------------------------------------------
+# the univariate layer modulo one prime, against the exact references
+
+
+def test_kernel_prime_helper():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    for m in (1, 2, 3, 4, 5, 8, 12, 24, 60, 120):
+        p, w = poly._kernel_prime(m)
+        assert trial(p) and p > 2**31 and (p - 1) % m == 0
+        assert pow(w, m, p) == 1
+        for q in (2, 3, 5):
+            if m % q == 0:
+                assert pow(w, m // q, p) != 1
+        assert poly._kernel_prime(m) == (p, w)
+
+
+def _sweep_factor(rng, level, cyclotomic):
+    # a cyclotomic factor X^k - zeta_N^j or Phi_m(X), or a junk factor of
+    # degree 1 or 2 with coefficients at the level
+    if cyclotomic:
+        if rng.random() < 0.3:
+            m = rng.choice((1, 2, 3, 4, 5, 6, 8, 10, 12))
+            return L(1, {(i,): c for i, c in
+                         enumerate(cyclotomic_polynomial(m)) if c})
+        k = rng.randint(1, 3)
+        return L(1, {(k,): 1, (0,): -CyclotomicNumber.zeta(
+            level, rng.randrange(level))})
+    phi = euler_phi(level)
+    return L(1, {(i,): CyclotomicNumber(
+        level, [rng.randint(-3, 3) for _ in range(phi)], rng.randint(1, 3))
+        for i in range(rng.randint(1, 2) + 1)})
+
+
+def test_cyclotomic_roots_differential_sweep(monkeypatch):
+    # cyclotomic_roots and squarefree_part against the exact-only
+    # references on products of cyclotomic factors (some repeated) and
+    # junk factors; some draws get a factor p X + 1 or X + 1/p for the
+    # kernel prime p of their level, so that lc(f) or a denominator of f
+    # is not a unit there and squarefree_part must go exact
+    gcd_calls = []
+    exact_gcd = poly._dense_gcd
+    monkeypatch.setattr(poly, "_dense_gcd",
+                        lambda a, b: gcd_calls.append(1) or exact_gcd(a, b))
+    rng = random.Random(8128)
+    kinds = {"plain": 0, "repeated": 0, "lc": 0, "den": 0}
+    for level in (1, 3, 4, 8, 12, 24):
+        for draw in range(14):
+            f = L.constant(1, CyclotomicNumber.zeta(level, rng.randrange(level)))
+            for _ in range(rng.randint(1, 3)):
+                f = f * _sweep_factor(rng, level, rng.random() < 0.6)
+            if draw % 4 == 0:
+                f = f * _sweep_factor(rng, level, True) ** 2
+            p = poly._kernel_prime(f.coefficient_level())[0]
+            special = {1: "lc", 2: "den"}.get(draw % 4)
+            if special == "lc":
+                f = f * L(1, {(1,): p, (0,): 1})
+            elif special == "den":
+                f = f * L(1, {(1,): 1, (0,): Fraction(1, p)})
+            if f.degree_in(0) == 0:
+                continue
+            expect = _squarefree_exact(f)
+            squarefree = len(poly._to_dense(expect)) == len(poly._to_dense(f))
+            gcd_calls.clear()
+            assert squarefree_part(f) == expect
+            if special:
+                assert gcd_calls
+            elif squarefree:
+                assert not gcd_calls
+            kinds[special or ("plain" if squarefree else "repeated")] += 1
+            assert cyclotomic_roots(f) == _cyclotomic_roots_exact(f)
+    assert min(kinds.values()) >= 10
+
+
+def test_exact_tests_only_for_root_orbits(monkeypatch):
+    # a candidate orbit reaches the exact vanishing test only when its
+    # residue is zero; here that happens only at the roots
+    exact = poly._vanishes_at_root_terms
+    calls = []
+    monkeypatch.setattr(poly, "_vanishes_at_root_terms",
+                        lambda rows, point: calls.append(point) or exact(rows, point))
+    x = L.variable(1, 0)
+    f = (x ** 12 - 1) * (x ** 3 - 2 * x + 5)
+    for scale, level, orbits in ((1, 1, 6), (CyclotomicNumber.zeta(4), 4, 8)):
+        calls.clear()
+        roots, _ = cyclotomic_roots(f * scale)
+        assert f.scale(scale).coefficient_level() == level
+        assert [r.exponent for r in roots] == [Fraction(k, 12) for k in range(12)]
+        assert len(calls) == orbits

@@ -64,3 +64,28 @@ def test_public_names_resolve():
                if not hasattr(torsioncosets, name)]
     assert missing == []
     assert len(set(torsioncosets.__all__)) == len(torsioncosets.__all__)
+
+
+def test_private_helpers_are_referenced():
+    # a top-level private function or class that nothing in the package
+    # names outside its own definition is dead code left by a refactor
+    defs, bodies = [], []
+    for path in sorted(Path(torsioncosets.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    names.add(sub.name)
+            bodies.append((node, names))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name.startswith("_"):
+                defs.append((f"{path.name}:{node.lineno}", node))
+    found = [f"{where}: {node.name}" for where, node in defs
+             if not any(node.name in names for other, names in bodies
+                        if other is not node)]
+    assert found == []
