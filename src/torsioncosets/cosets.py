@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 
 from .arith import RootOfUnity, TorsionPoint
 from .lattices import (
@@ -176,27 +177,42 @@ class CongruenceSolutionSet:
     The solution set, when consistent, is q0 + {torsion q : R q = 0},
     and the homogeneous part splits into class_count classes modulo the
     torsion of the connected subgroup cut out by the saturation of R.
+    Modulo that torsion, the homogeneous solutions are generated by the
+    points column / order of the (column, order) pairs in generators;
+    the class shifts are listed from them only on demand.
     """
 
     __slots__ = ("ambient", "consistent", "particular", "homogeneous",
-                 "class_shifts")
+                 "generators", "_shifts")
 
     def __init__(self, ambient, consistent, particular=None,
-                 homogeneous=None, class_shifts=()):
+                 homogeneous=None, generators=()):
         self.ambient = ambient
         self.consistent = consistent
         self.particular = particular
         self.homogeneous = homogeneous
-        self.class_shifts = tuple(class_shifts)
+        self.generators = tuple(generators)
+        self._shifts = None
+
+    @property
+    def class_shifts(self) -> tuple[TorsionPoint, ...]:
+        if not self.consistent:
+            return ()
+        if self._shifts is None:
+            shifts = [TorsionPoint([Fraction(0)] * self.ambient)]
+            for col, d in self.generators:
+                shifts = [base * TorsionPoint([Fraction(j * c, d) % 1
+                                               for c in col])
+                          for j in range(d) for base in shifts]
+            self._shifts = tuple(shifts)
+        return self._shifts
 
     @property
     def class_count(self) -> int:
-        return len(self.class_shifts) if self.consistent else 0
+        return len(self.class_shifts)
 
     def class_points(self) -> list[TorsionPoint]:
         """One torsion point per solution class."""
-        if not self.consistent:
-            return []
         return [self.particular * shift for shift in self.class_shifts]
 
     def cosets(self) -> list["TorsionCoset"]:
@@ -211,6 +227,30 @@ class CongruenceSolutionSet:
         if self.homogeneous.rank != self.ambient:
             raise ValueError("solution set is infinite")
         return self.class_points()
+
+    def least_point(self) -> TorsionPoint:
+        """min(self.points(), key=TorsionPoint.exponents) without listing
+        the points.  With D a common denominator of q0 and the generators,
+        the solutions are k / D for k in k0 + L, k0 = D q0, where the
+        lattice L is spanned by D Z^n and D column / order.  The row HNF
+        of L has pivots h_ii dividing D, and the vectors of L that vanish
+        in the first i coordinates are spanned by its rows below i; so
+        reducing k0 by the rows in order, coordinate i into [0, h_ii),
+        gives the lex-least k in [0, D)^n, in O(n^2) after the HNF."""
+        if not self.consistent:
+            raise ValueError("no solution")
+        if self.homogeneous.rank != self.ambient:
+            raise ValueError("solution set is infinite")
+        n = self.ambient
+        q0 = self.particular.exponents()
+        den = lcm(*(x.denominator for x in q0), *(d for _, d in self.generators))
+        rows = [[den * (i == j) for j in range(n)] for i in range(n)]
+        rows += [[den // d * c for c in col] for col, d in self.generators]
+        k = [int(x * den) for x in q0]
+        for i, row in enumerate(IntegerLattice(n, rows).rows):
+            step = k[i] // row[i]
+            k = [x - step * y for x, y in zip(k, row)]
+        return TorsionPoint([Fraction(x, den) for x in k])
 
 
 def solve_exponent_congruences(rows, s) -> CongruenceSolutionSet:
@@ -235,16 +275,6 @@ def solve_exponent_congruences(rows, s) -> CongruenceSolutionSet:
     q0 = TorsionPoint([sum(Fraction(v[i][j]) * y0[j] for j in range(n)) % 1
                        for i in range(n)])
     hom = IntegerLattice(n, rows).saturation()
-    shifts = [TorsionPoint([Fraction(0)] * n)]
-    for i in range(rank):
-        d = diag[i]
-        if d == 1:
-            continue
-        new = []
-        col = [v[row][i] for row in range(n)]
-        for j in range(d):
-            delta = TorsionPoint([Fraction(j * c, d) % 1 for c in col])
-            for base in shifts:
-                new.append(base * delta)
-        shifts = new
-    return CongruenceSolutionSet(n, True, q0, hom, shifts)
+    generators = [([v[row][i] for row in range(n)], diag[i])
+                  for i in range(rank) if diag[i] != 1]
+    return CongruenceSolutionSet(n, True, q0, hom, generators)

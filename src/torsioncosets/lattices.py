@@ -1,6 +1,7 @@
 """Integer lattice algorithms: Hermite and Smith normal forms with
-transformation matrices, saturation, orthogonal complements, and
-completion of a primitive vector to a unimodular basis.
+transformation matrices, saturation, orthogonal complements,
+completion of a primitive vector to a unimodular basis, and the
+least-weight permutation (assignment) of a square integer matrix.
 
 All arithmetic is fraction-free over Python integers; matrices are
 lists of row lists.
@@ -74,6 +75,45 @@ def determinant(m) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def min_assignment(weights) -> int:
+    """The least sum_i weights[i][s(i)] over the permutations s of an
+    n x n matrix that avoid its forbidden (None) entries: the Hungarian
+    method with row and column potentials, O(n^3)."""
+    n = len(weights)
+    inf = float("inf")
+    u, v = [0] * (n + 1), [0] * (n + 1)
+    match, way = [0] * (n + 1), [0] * (n + 1)   # match[column] = row, 1-based
+    for i in range(1, n + 1):
+        match[0], j0 = i, 0
+        slack, used = [inf] * (n + 1), [False] * (n + 1)
+        while match[j0]:
+            used[j0] = True
+            row, ui = weights[match[j0] - 1], u[match[j0]]
+            delta, j1 = inf, 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                w = row[j - 1]
+                if w is not None and w - ui - v[j] < slack[j]:
+                    slack[j], way[j] = w - ui - v[j], j0
+                if slack[j] < delta:
+                    delta, j1 = slack[j], j
+            if not j1:
+                raise ValueError("every permutation meets a forbidden entry")
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    return sum(weights[match[j] - 1][j - 1] for j in range(1, n + 1))
 
 
 def mat_inverse_unimodular(u):

@@ -30,7 +30,7 @@ from .arith import (
     cyclotomic_polynomial,
     euler_phi,
 )
-from .lattices import IntegerLattice, mat_inverse_unimodular
+from .lattices import IntegerLattice, mat_inverse_unimodular, min_assignment
 
 
 def _coerce_coeff(c) -> CyclotomicNumber:
@@ -845,19 +845,42 @@ def _sylvester_mod(a: list[int], b: list[int], p: int) -> int:
 
 
 def _interpolate(values: list[int], inv: list[int], p: int) -> list[int]:
-    # coefficients of the polynomial of degree < len(values) taking values[t]
-    # at t = 0, 1, ...: Newton divided differences, then Horner
+    # coefficients of the polynomial of degree < len(values) taking values[i]
+    # at t = i + 1: Newton divided differences, then Horner
     c = list(values)
     for j in range(1, len(c)):
         c[j:] = [(x - y) * inv[j] % p for x, y in zip(c[j:], c[j - 1:])]
     acc = [c[-1]]
     for k in range(len(c) - 2, -1, -1):
-        acc = [(y - k * x) % p for x, y in zip(acc + [0], [0] + acc)]
+        acc = [(y - (k + 1) * x) % p for x, y in zip(acc + [0], [0] + acc)]
         acc[0] = (acc[0] + c[k]) % p
     return acc
 
 
-def _resultant_mod(fterms, gterms, shape, sizes, field):
+def _exponent_window(f: LaurentPolynomial, g: LaurentPolynomial, var: int):
+    # [(lo_j, hi_j)] of `resultant`, j != var: the least and the greatest
+    # weight of a permutation of the formal Sylvester matrix, each entry
+    # weighted by the least (greatest) X_j-exponent of its coefficient
+    p, q = f.degree_in(var), g.degree_in(var)
+    window = []
+    for j in range(f.nvars):
+        if j == var:
+            continue
+        rows = []
+        for h, deg, count in ((f, p, q), (g, q, p)):
+            exps = [[] for _ in range(deg + 1)]
+            for e in h.terms:
+                exps[e[var]].append(e[j])
+            span = [(min(x), max(x)) if x else None for x in exps]
+            # row i of the block holds the coefficient of X_var^k in column i + k
+            rows += [[None] * i + span + [None] * (count - 1 - i)
+                     for i in range(count)]
+        window.append((min_assignment([[x and x[0] for x in r] for r in rows]),
+                       -min_assignment([[x and -x[1] for x in r] for r in rows])))
+    return window
+
+
+def _resultant_mod(fterms, gterms, shape, window, field):
     """Power-basis coordinates mod p of the resultant coefficients, flat
     in the order (monomial of the output grid, coordinate)."""
     p, roots, vinv = field
@@ -868,8 +891,12 @@ def _resultant_mod(fterms, gterms, shape, sizes, field):
                         for r in roots]) for e, k, v in terms]
 
     fv, gv = at_roots(fterms), at_roots(gterms)
+    sizes = [hi - lo + 1 for lo, hi in window]
+    # t^(-lo) at the nodes t = 1, ..., s of each axis
+    shifts = [[pow(t, -lo, p) for t in range(1, s + 1)]
+              for (lo, _), s in zip(window, sizes)]
     vals = []
-    for point in product(*(range(s) for s in sizes)):
+    for point in product(*(range(1, s + 1) for s in sizes)):
         dense = []
         for terms, deg in zip((fv, gv), shape):
             rows = [[0] * (deg + 1) for _ in range(phi)]
@@ -880,8 +907,11 @@ def _resultant_mod(fterms, gterms, shape, sizes, field):
                 for row, x in zip(rows, v):
                     row[k] += x * mono
             dense.append(rows)
+        shift = 1
+        for t, table in zip(point, shifts):
+            shift = shift * table[t - 1] % p
         vals.extend(_sylvester_mod([x % p for x in a], [x % p for x in b], p)
-                    for a, b in zip(*dense))
+                    * shift % p for a, b in zip(*dense))
     inv = [0, 1]
     for i in range(2, max(sizes, default=1)):
         inv.append(-(p // i) * inv[p % i] % p)
@@ -916,10 +946,27 @@ def resultant(f: LaurentPolynomial, g: LaurentPolynomial,
     most B = |d_f f|_1^q |d_g g|_1^p C_N, computed first.  Primes
     P = 1 (mod N) below 2^62, in a fixed descending order, are used
     until their product exceeds 2B, and combined by CRT into symmetric
-    residues.  Modulo each P, z runs over the roots of Phi_N and
-    each other X_j over 0, ..., q deg_j f + p deg_j g (a degree bound);
-    interpolation and a Vandermonde solve give the coordinates.  Every
-    point takes the determinant of the formal shape (p, q), also where a
+    residues.
+
+    The exponent window.  Write the formal (p, q) Sylvester matrix with
+    the coefficients a_k, b_k of X_var^k as entries, and give each
+    nonzero entry the least (greatest) X_j-exponent of its terms.  Let
+    lo_j be the least weight of a permutation that avoids the zero
+    entries, and hi_j the greatest.  By Leibniz the determinant is a
+    signed sum over permutations of products of one entry per row and
+    column; a product through a zero entry vanishes, and every monomial
+    of any other has its X_j-exponent between that permutation's two
+    weights.  So every X_j-exponent of the resultant lies in
+    [lo_j, hi_j], whatever the coefficients are, also for degenerate
+    supports and leading coefficients that vanish somewhere.  The
+    weights are found by a Hungarian assignment in O((p + q)^3).
+
+    Modulo each P, z runs over the roots of Phi_N and each other X_j
+    over t = 1, ..., hi_j - lo_j + 1 (never 0); each determinant times
+    prod t_j^(-lo_j) is a polynomial of degree at most hi_j - lo_j in
+    X_j, and interpolation on these nodes and a Vandermonde solve give
+    the coordinates, coefficient k at exponent lo_j + k.  Every point
+    takes the determinant of the formal shape (p, q), also where a
     leading coefficient vanishes: the determinant commutes with every
     ring map, so no prime or point is unlucky and none is skipped."""
     if f.is_zero() or g.is_zero():
@@ -933,13 +980,12 @@ def resultant(f: LaurentPolynomial, g: LaurentPolynomial,
     (fterms, df, fnorm), (gterms, dg, gnorm) = (
         _integer_coordinates(h, level, var) for h in (f, g))
     bound = fnorm ** shape[1] * gnorm ** shape[0] * _power_bound(level)
-    sizes = [shape[1] * f.degree_in(j) + shape[0] * g.degree_in(j) + 1
-             for j in range(f.nvars) if j != var]
+    window = _exponent_window(f, g, var)
     modulus, coords, index = 1, None, 0
     while modulus <= 2 * bound:
         field = _prime_field(level, index)
         index += 1
-        residues = _resultant_mod(fterms, gterms, shape, sizes, field)
+        residues = _resultant_mod(fterms, gterms, shape, window, field)
         p = field[0]
         step = pow(modulus, -1, p)
         coords = residues if coords is None else [
@@ -948,7 +994,7 @@ def resultant(f: LaurentPolynomial, g: LaurentPolynomial,
     phi = euler_phi(level)
     den = df ** shape[1] * dg ** shape[0]
     out = {}
-    for i, e in enumerate(product(*(range(s) for s in sizes))):
+    for i, e in enumerate(product(*(range(lo, hi + 1) for lo, hi in window))):
         v = [x - modulus if 2 * x > modulus else x
              for x in coords[i * phi:(i + 1) * phi]]
         if any(v):

@@ -294,7 +294,7 @@ def minimal_level_normalize(f: LaurentPolynomial):
         rhs = [0] * n + [Fraction(g * js[0], two_n) for js in admissible]
         sol = solve_exponent_congruences(rows, rhs)
         if sol.consistent:
-            point = min(sol.class_points(), key=TorsionPoint.exponents)
+            point = sol.least_point()
             scaled = reduced.scale_variables(list(point))
             unit = scaled.terms[d].inverse()
             return tuple(point), m, scaled.map_coefficients(

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from torsioncosets.arith import RootOfUnity, TorsionPoint
 from torsioncosets.cosets import (
     TorsionCoset,
@@ -199,6 +201,34 @@ def test_congruences_count_vs_brute_force():
             if ok:
                 brute.add(tuple(q))
         assert brute == {tuple(p.exponents()) for p in pts}
+
+
+def test_least_point_is_min_over_points():
+    # the lex-least solution without listing the solutions, against the
+    # listed ones, for square and overdetermined systems, among them the
+    # level congruences of minimal_level_normalize (2N I on top)
+    rng = random.Random(808)
+    checked = 0
+    for trial in range(200):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-4, 4) for _ in range(n)]
+                for _ in range(rng.randint(n, n + 2))]
+        if trial % 2:
+            two_n = rng.choice((2, 6, 8, 24))
+            rows = [[two_n * x for x in row] for row in identity_matrix(n)] + rows
+        if IntegerLattice(n, rows).rank != n:
+            continue
+        s = [Fraction(rng.randint(0, 23), 24) for _ in rows]
+        sol = solve_exponent_congruences(rows, s)
+        if not sol.consistent:
+            with pytest.raises(ValueError, match="no solution"):
+                sol.least_point()
+            continue
+        checked += 1
+        assert sol.least_point() == min(sol.points(), key=TorsionPoint.exponents)
+    assert checked >= 40
+    with pytest.raises(ValueError, match="infinite"):
+        solve_exponent_congruences([[2, 2]], [Fraction(0)]).least_point()
 
 
 def test_congruences_positive_dimensional():

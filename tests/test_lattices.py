@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -13,6 +14,7 @@ from torsioncosets.lattices import (
     identity_matrix,
     mat_inverse_unimodular,
     mat_mul,
+    min_assignment,
     orthogonal_complement,
     saturation,
     smith_normal_form,
@@ -221,3 +223,33 @@ def test_non_unimodular_input_raises(u):
     coset = TorsionCoset.from_point(TorsionPoint([Fraction(1, 2)] * n))
     with pytest.raises(ValueError, match="not unimodular"):
         coset.transform(u)
+
+
+def test_min_assignment_matches_brute_force():
+    # least and greatest weight permutations against all n! of them, with
+    # negative weights and forbidden (None) entries, for n <= 6
+    rng = random.Random(606)
+
+    def brute(weights, best):
+        sums = [sum(weights[i][s] for i, s in enumerate(perm))
+                for perm in permutations(range(len(weights)))
+                if all(weights[i][s] is not None for i, s in enumerate(perm))]
+        return best(sums) if sums else None
+
+    checked = infeasible = 0
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        density = rng.choice((0.3, 0.6, 1.0))
+        weights = [[rng.randint(-20, 20) if rng.random() < density else None
+                    for _ in range(n)] for _ in range(n)]
+        negated = [[None if x is None else -x for x in row] for row in weights]
+        low = brute(weights, min)
+        if low is None:
+            infeasible += 1
+            with pytest.raises(ValueError, match="forbidden"):
+                min_assignment(weights)
+            continue
+        checked += 1
+        assert min_assignment(weights) == low
+        assert -min_assignment(negated) == brute(weights, max)
+    assert checked >= 150 and infeasible >= 20

@@ -641,6 +641,89 @@ def test_resultant_differential_sweep():
     assert multi_prime >= 100
 
 
+def _support_range(h, axis):
+    exps = [e[axis] for e in h.terms]
+    return min(exps), max(exps)
+
+
+def test_resultant_window_contains_bareiss_support():
+    # every exponent of the Bareiss resultant lies in the proven window
+    # [lo_j, hi_j] of `resultant`, on every axis, for generic draws and
+    # for projected supports that are segments (binomials) or points (a
+    # variable absent from both inputs), for resultants with a monomial
+    # factor (lo_j > 0), and for leading coefficients in X_var that
+    # vanish at a sample node t = 1 or 2 of the kernel
+    rng = random.Random(1729)
+    shifted = 0
+    for level in range(1, 13):
+        for n in (2, 3, 4):
+            max_exp = (3, 2, 1)[n - 2]
+            for var in range(n):
+                axis = rng.choice([j for j in range(n) if j != var])
+                up = [0] * n
+                up[var] = 1
+                x_axis = [0] * n
+                x_axis[axis] = 1
+
+                def draw(absent=False, low_factor=False):
+                    while True:
+                        h = _sweep_poly(rng, n, max_exp, level, 3, 2)
+                        if absent:
+                            h = L(n, {e[:axis] + (0,) + e[axis + 1:]: c
+                                      for e, c in h.terms.items()})
+                        if low_factor:
+                            # the coefficient of X_var^0 divisible by X_axis
+                            base = _sweep_poly(rng, n, max_exp, level, 3, 1)
+                            base = L(n, {e[:var] + (0,) + e[var + 1:]: c
+                                         for e, c in base.terms.items()})
+                            h = (h * L.monomial(n, up)
+                                 + base * L.monomial(n, x_axis))
+                        h, _ = h.strip_monomial_content()
+                        if low_factor and any(e[var] == 0 == e[axis]
+                                              for e in h.terms):
+                            continue
+                        if h.degree_in(var) > 0:
+                            return h
+
+                a = [0] * n
+                a[var] = rng.randint(1, max_exp)
+                a[axis] = rng.randint(0, max_exp)
+                lead = (L.monomial(n, x_axis) - rng.randint(1, 2)) * L.monomial(
+                    n, [(max_exp + 1) * x for x in up],
+                    CyclotomicNumber.zeta(level, 1))
+                # one generic pair and one special pair per draw, in turn
+                kind = 1 + (level + n + var) % 4
+                special = (
+                    (L(n, {tuple(a): CyclotomicNumber.zeta(level, 1),
+                           (0,) * n: 1}), draw()) if kind == 1 else
+                    (draw(absent=True), draw(absent=True)) if kind == 2 else
+                    (draw(low_factor=True), draw(low_factor=True))
+                    if kind == 3 else (draw() + lead, draw()))
+                pairs = [(0, (draw(), draw())), (kind, special)]
+                for kind, (f, g) in pairs:
+                    window = poly._exponent_window(f, g, var)
+                    exact = _resultant_bareiss(f, g, var)
+                    assert resultant(f, g, var) == exact
+                    for j, (lo, hi) in enumerate(window):
+                        assert lo <= hi
+                        if not exact.is_zero():
+                            low, high = _support_range(exact, j)
+                            assert lo <= low and high <= hi
+                    j = axis - (axis > var)
+                    if kind == 2:
+                        assert window[j] == (0, 0)
+                    if kind == 3 and not exact.is_zero():
+                        assert window[j][0] > 0
+                        shifted += 1
+    assert shifted >= 20
+    # a generic bivariate pair attains its window exactly
+    f = L(2, {(0, 0): 2, (1, 0): 3, (2, 1): -1, (0, 2): 5, (3, 2): 7})
+    g = L(2, {(0, 0): 1, (2, 0): -4, (1, 1): 6, (0, 3): 1, (1, 3): 2})
+    for var in (0, 1):
+        assert poly._exponent_window(f, g, var) == [(0, 13)]
+        assert _support_range(_resultant_bareiss(f, g, var), 0) == (0, 13)
+
+
 # ---------------------------------------------------------------------------
 # the univariate layer modulo one prime, against the exact references
 
