@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
+
+from .lattices import IntegerLattice, hermite_normal_form, mat_mul
 
 
 def euler_phi(n: int) -> int:
@@ -118,7 +121,6 @@ class _Level:
 
 _LEVELS: dict[int, _Level] = {}
 _LEVELS_LOCK = threading.Lock()
-_MINLEVEL_CACHE: dict = {}
 
 
 def _level(n: int) -> _Level:
@@ -194,14 +196,6 @@ class CyclotomicNumber:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def to_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational number")
-        return Fraction(self.num[0], self.den)
-
-    def coords(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.den) for c in self.num)
-
     # ---- level handling -----------------------------------------------
 
     def embed_to_level(self, target: int) -> "CyclotomicNumber":
@@ -229,26 +223,22 @@ class CyclotomicNumber:
 
     def minimal_level(self) -> "CyclotomicNumber":
         """Re-express at the smallest level d | level containing this
-        number (d is automatically odd or divisible by 4)."""
+        number (d is automatically odd or divisible by 4).
+
+        Z[zeta_d] is the ring of integers of Q(zeta_d), so Z[zeta_d] =
+        Z[zeta_n] cap Q(zeta_d) and the lattice of _subfield_basis(n, d)
+        is saturated in Z^phi(n): the integer numerator lies in it exactly
+        when the number lies in Q(zeta_d).  Its coefficients c over the
+        HNF basis H = t * rows give the level-d coordinates c * t."""
         if self.is_rational():
             return CyclotomicNumber(1, [self.num[0]], self.den)
-        key = (self.level, self.num, self.den)
-        cached = _MINLEVEL_CACHE.get(key)
-        if cached is not None:
-            return cached
         n = self.level
-        result = self
-        for d in sorted(_divisors(n))[:-1]:
-            if d == 1:
-                continue
-            coords = _subfield_coords(self, d)
-            if coords is not None:
-                result = _from_fraction_coords(d, coords)
-                break
-        if len(_MINLEVEL_CACHE) > 100000:
-            _MINLEVEL_CACHE.clear()
-        _MINLEVEL_CACHE[key] = result
-        return result
+        for d in _divisors(n)[1:-1]:
+            lattice, t = _subfield_basis(n, d)
+            c = lattice.coefficients(self.num)
+            if c is not None:
+                return CyclotomicNumber(d, mat_mul([c], t)[0], self.den)
+        return self
 
     # ---- ring/field operations ----------------------------------------
 
@@ -403,13 +393,6 @@ def _coerce(x):
     return NotImplemented
 
 
-def _from_fraction_coords(level: int, coords) -> CyclotomicNumber:
-    den = 1
-    for c in coords:
-        den = lcm(den, Fraction(c).denominator)
-    return CyclotomicNumber(level, [int(Fraction(c) * den) for c in coords], den)
-
-
 def _divisors(n: int) -> list[int]:
     out = []
     d = 1
@@ -422,43 +405,15 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _subfield_coords(x: CyclotomicNumber, d: int):
-    """Coordinates of x over the power basis of Q(zeta_d) if x lies in
-    that subfield, else None.  d must divide the level of x."""
-    n = x.level
-    lvn = _level(n)
-    phd = euler_phi(d)
+@cache
+def _subfield_basis(n: int, d: int):
+    """(IntegerLattice of Z[zeta_d] in the level-n coordinates, t) for
+    d | n: the rows are the level-n coordinates of zeta_d^j, j < phi(d),
+    and t * rows is their HNF."""
     step = n // d
-    # column j = coordinates of zeta_d^j at level n
-    cols = [lvn.power(j * step) for j in range(phd)]
-    target = [Fraction(c, x.den) for c in x.num]
-    # solve cols * y = target by Gaussian elimination
-    rows = lvn.phi
-    mat = [[Fraction(cols[j][i]) for j in range(phd)] + [target[i]]
-           for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(phd):
-        piv = next((i for i in range(r, rows) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
-        piv_cols.append(c)
-        r += 1
-    # inconsistent rows mean x is outside the subfield
-    for i in range(r, rows):
-        if mat[i][phd]:
-            return None
-    sol = [Fraction(0)] * phd
-    for i, c in enumerate(piv_cols):
-        sol[c] = mat[i][phd]
-    return sol
+    rows = [list(_level(n).power(j * step)) for j in range(euler_phi(d))]
+    _, t = hermite_normal_form(rows)
+    return IntegerLattice(euler_phi(n), rows), tuple(map(tuple, t))
 
 
 class RootOfUnity:

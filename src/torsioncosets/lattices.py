@@ -329,9 +329,6 @@ class IntegerLattice:
     def saturation(self) -> "IntegerLattice":
         return self.orthogonal_complement().orthogonal_complement()
 
-    def is_primitive(self) -> bool:
-        return self == self.saturation()
-
     def orthogonal_complement(self) -> "IntegerLattice":
         """Basis of span_R(self)^perp intersected with Z^n; always a
         primitive lattice."""

@@ -93,9 +93,6 @@ class LaurentPolynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
     def support(self):
         return set(self.terms)
 
@@ -497,8 +494,8 @@ def _dense_divmod(a, b):
 
 
 def _primitive_scale(dense):
-    """(scaled, s) with dense = s * scaled, scaled having integer
-    coordinates of content one; s is a positive rational."""
+    """dense divided by a positive rational so that its coordinates are
+    integers of content one."""
     d = 1
     for c in dense:
         d = lcm(d, c.den)
@@ -512,9 +509,8 @@ def _primitive_scale(dense):
             if x:
                 g = gcd(g, x)
     if g == 0:
-        return list(dense), Fraction(1)
-    scaled = [CyclotomicNumber(lev, [x // g for x in v]) for lev, v in vecs]
-    return scaled, Fraction(g, d)
+        return list(dense)
+    return [CyclotomicNumber(lev, [x // g for x in v]) for lev, v in vecs]
 
 
 def _dense_prem(a, b):
@@ -543,15 +539,15 @@ def _dense_gcd(a, b):
             inv = keep[-1].inverse()
             keep = [c * inv for c in keep]
         return keep
-    a, _ = _primitive_scale(a)
-    b, _ = _primitive_scale(b)
+    a = _primitive_scale(a)
+    b = _primitive_scale(b)
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
         r = _dense_prem(a, b)
         if not r:
             break
-        r, _ = _primitive_scale(r)
+        r = _primitive_scale(r)
         a, b = b, r
     if len(b) == 1:
         return [CyclotomicNumber.one()]

@@ -93,12 +93,6 @@ class SolveReport:
             out[c.dimension] = out.get(c.dimension, 0) + 1
         return out
 
-    def isolated_points(self):
-        return [c for c in self.cosets if c.dimension == 0]
-
-    def positive_dimensional(self):
-        return [c for c in self.cosets if c.dimension > 0]
-
 
 # ---------------------------------------------------------------------------
 # binomial (codimension-one) cosets
@@ -392,8 +386,10 @@ def _solve_hypersurface(f: LaurentPolynomial, stats: SolveStats,
         return []
     if n == 1:
         roots, _ = cyclotomic_roots(work)
-        return [TorsionCoset.from_point(TorsionPoint([w.exponent]))
-                for w in roots]
+        # filtered like every other return, so the public order is the
+        # sort_key order and the entry points need no second pass
+        return maximal_filter(TorsionCoset.from_point(TorsionPoint([w]))
+                              for w in roots)
     results, work = binomial_cosets(work)
     if work.is_unit():
         return maximal_filter(results)
@@ -532,7 +528,7 @@ def hypersurface_cosets(f: LaurentPolynomial) -> SolveReport:
     """All maximal torsion cosets on the hypersurface of f, with
     certification that every output lies on it."""
     stats = SolveStats()
-    cosets = maximal_filter(_solve_hypersurface(f, stats, 0))
+    cosets = _solve_hypersurface(f, stats, 0)
     certificates = [c.lies_on([f]) for c in cosets]
     if not all(certificates):
         raise RuntimeError("internal error: emitted coset fails membership")
@@ -580,7 +576,7 @@ def variety_cosets(system) -> SolveReport:
     if any(p.nvars != nv for p in system):
         raise ValueError("mixed variable counts in the system")
     stats = SolveStats()
-    cosets = maximal_filter(_solve_variety(system, stats, 0))
+    cosets = _solve_variety(system, stats, 0)
     certificates = [c.lies_on(system) for c in cosets]
     if not all(certificates):
         raise RuntimeError("internal error: emitted coset fails membership")

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -137,6 +137,67 @@ def test_minimal_level():
     # z6 lives in Q(z3): minimal level must be 3, not 6
     z = zeta(6)
     assert z.minimal_level().level == 3
+
+
+def _minimal_level_fraction(x):
+    # reference: for each proper divisor d of the level, solve for the
+    # coordinates over the power basis of Q(zeta_d) by Fraction
+    # Gauss-Jordan elimination; the first consistent d is the answer
+    if x.is_rational():
+        return CyclotomicNumber(1, [x.num[0]], x.den)
+    n = x.level
+    for d in [d for d in range(2, n) if n % d == 0]:
+        phd = euler_phi(d)
+        cols = [zeta(n, j * (n // d)).num for j in range(phd)]
+        mat = [[Fraction(col[i]) for col in cols] + [Fraction(c, x.den)]
+               for i, c in enumerate(x.num)]
+        r = 0
+        pivots = []
+        for c in range(phd):
+            piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+            if piv is None:
+                continue
+            mat[r], mat[piv] = mat[piv], mat[r]
+            mat[r] = [v / mat[r][c] for v in mat[r]]
+            for i in range(len(mat)):
+                if i != r and mat[i][c]:
+                    f = mat[i][c]
+                    mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
+            pivots.append(c)
+            r += 1
+        if any(row[phd] for row in mat[r:]):
+            continue
+        sol = [Fraction(0)] * phd
+        for i, c in enumerate(pivots):
+            sol[c] = mat[i][phd]
+        den = 1
+        for q in sol:
+            den = lcm(den, q.denominator)
+        return CyclotomicNumber(d, [int(q * den) for q in sol], den)
+    return x
+
+
+def test_minimal_level_matches_fraction_elimination():
+    rng = random.Random(20261018)
+    for n in (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 28, 36, 40, 45, 60, 84):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        samples = []
+        # elements of every subfield, embedded at level n
+        for d in divisors:
+            for _ in range(2):
+                samples.append(_random_cyclo(rng, d).embed_to_level(n))
+        # r * zeta_2N^j, as in the level scans of minimal_level_normalize
+        r = _random_cyclo(rng, rng.choice(divisors))
+        for j in rng.sample(range(2 * n), 4):
+            samples.append(r * zeta(2 * n, j))
+        # rationals stored above level 1, and generic elements
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        samples.append(CyclotomicNumber.from_rational(q).embed_to_level(n))
+        samples.append(_random_cyclo(rng, n))
+        for x in samples:
+            got, ref = x.minimal_level(), _minimal_level_fraction(x)
+            assert (got.level, got.num, got.den) == (ref.level, ref.num, ref.den)
+            assert got == x
 
 
 def test_root_of_unity_basics():

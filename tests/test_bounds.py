@@ -1,7 +1,9 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from torsioncosets import bounds
 from torsioncosets.bounds import (
     check_soft_bounds,
     evertse_schmidt_bound,
@@ -119,3 +121,25 @@ def test_catalog_and_soft_bounds():
         paper_constants(1, 1)
     with pytest.raises(ValueError):
         hypersurface_c2(1)
+
+
+def test_soft_bounds_skip_the_general_bound_below_its_first_factor(monkeypatch):
+    def unreachable(n, d):
+        raise AssertionError("general bound materialized")
+
+    monkeypatch.setattr(bounds, "evertse_schmidt_bound", unreachable)
+    rep = SimpleNamespace(cosets=[None] * 11 ** 4)
+    assert check_soft_bounds(rep, 3, 1) == []
+    with pytest.raises(AssertionError):
+        check_soft_bounds(SimpleNamespace(cosets=[None] * (11 ** 4 + 1)), 2, 1)
+
+
+def test_soft_bounds_above_the_first_factor_still_warn(monkeypatch):
+    # 11^4 + 1 cosets at n = 2, d = 1: above (11 d)^(n^2), below eq3
+    rep = SimpleNamespace(cosets=[None] * (11 ** 4 + 1))
+    assert check_soft_bounds(rep, 2, 1) == [
+        "count 14642 exceeds the plane bound 12"]
+    monkeypatch.setattr(bounds, "evertse_schmidt_bound", lambda n, d: 11 ** 4)
+    assert check_soft_bounds(rep, 2, 1) == [
+        "count 14642 exceeds the general bound 14641",
+        "count 14642 exceeds the plane bound 12"]

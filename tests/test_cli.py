@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from math import gcd
@@ -107,6 +108,21 @@ def test_cli_solve_json(capsys, tmp_path):
     points = sorted(tuple(tuple(p) for p in c["point"])
                     for c in data["cosets"])
     assert points == [((("1", "6")), ("5", "6")), (("5", "6"), ("1", "6"))]
+
+
+def test_cli_solve_high_degree_skips_the_general_bound(capsys, tmp_path):
+    # eq3 at n = 3, d = 16 runs to about 28 Mbit; 32 cosets stay far below
+    # its first factor 176^9, so the bound is never built
+    path = tmp_path / "system.txt"
+    path.write_text("vars: x y w\npoly: x^16 + y*w + 1\n")
+    code = run(["solve", "--input", str(path), "--format", "json"])
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    data = json.loads(captured.out)
+    assert len(data["cosets"]) == 32
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+        "1bc538bd1bcf7746e2dc9fe7b6d820ad00abdb44fc8405cee9ec8fcaaf06da5c")
 
 
 def test_cli_solve_text(capsys, tmp_path):

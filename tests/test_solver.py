@@ -42,6 +42,15 @@ def exps(coset):
     return tuple(coset.point.exponents())
 
 
+def test_univariate_order_is_sort_key_order():
+    # (x + 1)(x^2 + x + 1): roots 1/2, 1/3, 2/3, listed by (order, value)
+    # through both entry points, not by value
+    f = L(1, {(3,): 1, (2,): 2, (1,): 2, (0,): 1})
+    expected = [(Fraction(1, 2),), (Fraction(1, 3),), (Fraction(2, 3),)]
+    assert [exps(c) for c in hypersurface_cosets(f).cosets] == expected
+    assert [exps(c) for c in variety_cosets([f]).cosets] == expected
+
+
 def test_binomial_cosets_examples():
     f = poly2({(2, 2): 1, (0, 0): -1})  # x^2 y^2 - 1
     cosets, cofactor = binomial_cosets(f)
