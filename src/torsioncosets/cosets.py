@@ -49,7 +49,7 @@ def bezout_vector(a) -> list[int]:
 class TorsionCoset:
     """A coset point * H_lattice with a primitive lattice."""
 
-    __slots__ = ("point", "lattice", "_expmat")
+    __slots__ = ("point", "lattice", "_expmat", "_key")
 
     def __init__(self, point: TorsionPoint, lattice: IntegerLattice):
         if len(point) != lattice.ambient:
@@ -57,6 +57,7 @@ class TorsionCoset:
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "_expmat", None)
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, *a):
         raise AttributeError("TorsionCoset is immutable")
@@ -88,9 +89,11 @@ class TorsionCoset:
         """Invariant under the choice of representative point and of the
         lattice basis: the HNF rows together with the pairing values
         point^a for the HNF rows a."""
-        pairings = tuple(self.point.power(row).exponent
-                         for row in self.lattice.rows)
-        return (self.lattice.rows, pairings)
+        if self._key is None:
+            pairings = tuple(self.point.power(row).exponent
+                             for row in self.lattice.rows)
+            object.__setattr__(self, "_key", (self.lattice.rows, pairings))
+        return self._key
 
     def sort_key(self):
         key = self.canonical_key()

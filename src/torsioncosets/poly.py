@@ -9,8 +9,9 @@ modular Sylvester resultants, multivariate gcd, and exact root-of-unity
 root finding for univariate inputs.  The univariate layer works modulo
 one prime p = 1 (mod M) first: zeta_M -> w, a root of Phi_M mod p, is a
 ring map Z[zeta_M] -> F_p, so a nonzero residue proves a candidate root
-is none and a nonzero discriminant proves squarefreeness.  Only a zero
-residue goes on to exact arithmetic.
+is none.  Only a zero residue goes on to exact arithmetic.  Root finding
+needs no squarefree part; squarefree_part, which proves squarefreeness
+the same way by a nonzero discriminant, has no caller in the solver.
 """
 
 from __future__ import annotations
@@ -662,8 +663,11 @@ def cyclotomic_roots(g: LaurentPolynomial):
     exponent), together with the cyclotomic part prod (X - w).
 
     Enumerates candidate orders d with phi(lcm(d, N)) <= deg * phi(N)
-    (N the coefficient level) over the squarefree part h, one Galois
-    orbit at a time.  With (p, w) = _kernel_prime(M), M = lcm(d, N),
+    (N the coefficient level) over h, g with its monomial content
+    cleared, one Galois orbit at a time.  The roots are distinct, so
+    their count never exceeds deg h, repeated factors or not: the bound
+    and the early exit at deg h are only looser than over the squarefree
+    part, never wrong.  With (p, w) = _kernel_prime(M), M = lcm(d, N),
     zeta_M -> w is a ring map Z[zeta_M] -> F_p, so a nonzero residue of
     the cleared h(zeta_d^a) proves it nonzero, with no bound; only a zero
     residue goes on to the exact vanishing test."""
@@ -673,7 +677,7 @@ def cyclotomic_roots(g: LaurentPolynomial):
         raise ValueError("univariate polynomial expected")
     if len(g.terms) == 1:
         return [], LaurentPolynomial.constant(1, 1)
-    hpoly = squarefree_part(g)
+    hpoly, _ = g.strip_monomial_content()
     level = hpoly.coefficient_level()
     deg = hpoly.degree_in(0)
     phi_n = euler_phi(level)

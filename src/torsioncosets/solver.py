@@ -15,7 +15,8 @@ Hermite normal form: the HNF of the transposed support drops every
 variable missing from the exponent lattice in one step, and the HNF
 coordinates of each exponent over L(f) give the rescaled exponents.
 Univariate resultants are passed on as they are; cyclotomic_roots
-takes their squarefree part itself.
+clears their monomial content itself.  The output is certified with one
+exact membership test per Galois orbit over the coefficient field.
 """
 
 from __future__ import annotations
@@ -53,10 +54,12 @@ logger = logging.getLogger(__name__)
 
 class SolveStats:
     """Counters collected during a solve; max_level is the largest
-    coefficient level left by the level normalization."""
+    coefficient level left by the level normalization, and
+    exact_certificates the number of exact membership tests the
+    certification ran (one per Galois orbit of the output)."""
 
     __slots__ = ("max_depth", "resultants", "max_resultant_degree",
-                 "splits", "subsolves", "max_level")
+                 "splits", "subsolves", "max_level", "exact_certificates")
 
     def __init__(self):
         self.max_depth = 0
@@ -65,6 +68,7 @@ class SolveStats:
         self.splits = 0
         self.subsolves = 0
         self.max_level = 0
+        self.exact_certificates = 0
 
     def as_dict(self):
         return {
@@ -74,6 +78,7 @@ class SolveStats:
             "splits": self.splits,
             "subsolves": self.subsolves,
             "max_level": self.max_level,
+            "exact_certificates": self.exact_certificates,
         }
 
 
@@ -524,12 +529,43 @@ def _slice_and_lift(system, a, omega: RootOfUnity, stats: SolveStats,
     return out
 
 
+def _certify(cosets, polys, stats: SolveStats) -> list[bool]:
+    """Exact membership of each coset in the variety of the polys, with
+    one exact lies_on per Galois orbit.  Let N be the coefficient level
+    and, for a coset w * H_A with pairings q, M the lcm of N and their
+    denominators.  Every k = 1 (mod N) prime to M gives sigma_k in
+    Gal(Q(zeta_M) / Q(zeta_N)), which fixes the polys and maps w * H_A
+    onto w^k * H_A, the coset with pairings k * q; so one lies on the
+    variety exactly when the other does.  A coset is marked True only by
+    its own exact test or by its key matching such a conjugate of a
+    coset whose test was True."""
+    level = lcm(*(f.coefficient_level() for f in polys))
+    index = {c.canonical_key(): i for i, c in enumerate(cosets)}
+    certificates = [False] * len(cosets)
+    for i, c in enumerate(cosets):
+        if certificates[i]:
+            continue
+        stats.exact_certificates += 1
+        if not c.lies_on(polys):
+            continue
+        rows, pairings = c.canonical_key()
+        big = lcm(level, *(q.denominator for q in pairings))
+        for k in range(1, big + 1, level):
+            if gcd(k, big) == 1:
+                j = index.get((rows, tuple(k * q % 1 for q in pairings)))
+                if j is not None:
+                    certificates[j] = True
+    return certificates
+
+
 def hypersurface_cosets(f: LaurentPolynomial) -> SolveReport:
     """All maximal torsion cosets on the hypersurface of f, with
-    certification that every output lies on it."""
+    certification that every output lies on it: one exact membership
+    test per Galois orbit over Q(zeta_N), N the coefficient level, and
+    an exact key match for the orbit's other cosets (_certify)."""
     stats = SolveStats()
     cosets = _solve_hypersurface(f, stats, 0)
-    certificates = [c.lies_on([f]) for c in cosets]
+    certificates = _certify(cosets, [f], stats)
     if not all(certificates):
         raise RuntimeError("internal error: emitted coset fails membership")
     return SolveReport(cosets, stats, certificates)
@@ -568,7 +604,10 @@ def _solve_variety(system, stats: SolveStats, depth: int):
 
 def variety_cosets(system) -> SolveReport:
     """All maximal torsion cosets on the subvariety cut out by the
-    system, with certification against every input polynomial."""
+    system, with certification against every input polynomial: one
+    exact membership test per Galois orbit over Q(zeta_N), N the lcm of
+    the coefficient levels, and an exact key match for the orbit's other
+    cosets (_certify)."""
     system = list(system)
     if not system:
         raise ValueError("empty system")
@@ -577,7 +616,7 @@ def variety_cosets(system) -> SolveReport:
         raise ValueError("mixed variable counts in the system")
     stats = SolveStats()
     cosets = _solve_variety(system, stats, 0)
-    certificates = [c.lies_on(system) for c in cosets]
+    certificates = _certify(cosets, system, stats)
     if not all(certificates):
         raise RuntimeError("internal error: emitted coset fails membership")
     return SolveReport(cosets, stats, certificates)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -686,3 +687,150 @@ def test_sparse_three_variable_completeness():
         rep = variety_cosets(system) if len(system) > 1 \
             else hypersurface_cosets(system[0])
         assert cross_check(rep, system, 12).passed
+
+
+# two level-12 inputs on which the exact squarefree part of a resultant
+# grew without bound; both have no torsion coset
+_SQUAREFREE_HANG_REPRODUCERS = (
+    "vars: x y\nfield: 12\n"
+    "poly: (1 + z + z^2)*x^6*y^3 + (2 + z - z^2)*x^6*y"
+    " + (2*z - 2*z^2 - 2*z^3)*x^4 + (1 + z - 2*z^2 - z^3)*x^3"
+    " + (z - 2*z^2 - 2*z^3)*x^2*y^4 + (1 - z - 2*z^2)*y\n",
+    "vars: x y\nfield: 12\n"
+    "poly: (1 - 2*z^2 - 2*z^3)*x^6 + (-1 + z - z^2 + z^3)*x^3*y^6"
+    " + (-2 - 2*z + z^3)*x^2*y^5 + (2 + z^2)*x^2*y"
+    " + (-1 - 2*z - z^2 + z^3)*x^2 + (-1 + z + 2*z^2 + 2*z^3)*x*y^2\n",
+)
+
+
+@pytest.mark.parametrize("text", _SQUAREFREE_HANG_REPRODUCERS,
+                         ids=["first", "second"])
+def test_squarefree_hang_reproducers(text):
+    from torsioncosets.cli import parse_system
+    system = parse_system(text).polynomials
+    rep = hypersurface_cosets(system[0])
+    assert rep.cosets == []
+    assert cross_check(rep, system, 48).passed
+
+
+def _lacunary(d):
+    return poly2({(d, 0): 1, (0, d): 1, (1, 1): 1, (0, 0): 1})
+
+
+def _g2_draws(count):
+    # the first draws of the criterion-6 generator (seed 987654)
+    rng = random.Random(987654)
+
+    def random_poly():
+        while True:
+            terms = {}
+            for _ in range(rng.randint(2, 5)):
+                e = tuple(rng.randint(0, 4) for _ in range(2))
+                c = CyclotomicNumber(4, [rng.randint(-3, 3),
+                                         rng.randint(-3, 3)])
+                if not c.is_zero():
+                    terms[e] = c
+            f = L(2, terms)
+            if not f.is_zero() and not f.is_unit():
+                return f
+
+    return [[random_poly() for _ in range(rng.randint(1, 2))]
+            for _ in range(count)]
+
+
+def _level12_systems(count):
+    # two polynomials sharing a level-12 binomial factor, each times a
+    # sparse level-12 cofactor: positive-dimensional cosets and points
+    rng = random.Random(1212)
+    z12 = CyclotomicNumber.zeta(12)
+
+    def sparse():
+        terms = {(0, 0): z12 ** rng.randrange(12)}
+        for _ in range(rng.randint(1, 2)):
+            e = (rng.randint(0, 3), rng.randint(0, 3))
+            terms[e] = terms.get(e, 0) + z12 ** rng.randrange(12)
+        return poly2({e: c for e, c in terms.items() if not c.is_zero()})
+
+    systems = []
+    for _ in range(count):
+        a = (rng.randint(1, 3), rng.randint(0, 2))
+        shared = poly2({a: 1, (0, 0): -z12 ** rng.randrange(12)})
+        systems.append([shared * sparse(), shared * sparse()])
+    return systems
+
+
+def _certificates_match_exact(rep, system):
+    assert rep.certificates == [c.lies_on(system) for c in rep.cosets]
+    assert rep.stats.exact_certificates <= len(rep.cosets)
+
+
+def test_orbit_certificates_equal_exact_membership():
+    for d in range(4, 17):
+        f = _lacunary(d)
+        _certificates_match_exact(hypersurface_cosets(f), [f])
+    for system in _g2_draws(20):
+        rep = (hypersurface_cosets(system[0]) if len(system) == 1
+               else variety_cosets(system))
+        _certificates_match_exact(rep, system)
+    emitted = 0
+    for system in _level12_systems(4):
+        rep = variety_cosets(system)
+        _certificates_match_exact(rep, system)
+        emitted += len(rep.cosets)
+    assert emitted
+
+
+def _orbit_count(cosets, level):
+    # Galois orbits over Q(zeta_level) of the cosets' keys; each orbit
+    # must be emitted whole, as Galois permutes the maximal cosets
+    left = {c.canonical_key() for c in cosets}
+    count = 0
+    while left:
+        rows, pairings = key = min(left)
+        m = lcm(level, *(q.denominator for q in pairings))
+        orbit = {(rows, tuple(k * q % 1 for q in pairings)) for k in range(m)
+                 if k % level == 1 % level and math.gcd(k, m) == 1}
+        assert key in orbit and orbit <= left
+        left -= orbit
+        count += 1
+    return count
+
+
+def test_orbit_certification_one_exact_test_per_orbit(monkeypatch):
+    exact = TorsionCoset.lies_on
+    calls = []
+    monkeypatch.setattr(TorsionCoset, "lies_on",
+                        lambda self, polys: calls.append(self) or exact(self, polys))
+    rep = hypersurface_cosets(_lacunary(24))
+    assert all(rep.certificates)
+    orbits = _orbit_count(rep.cosets, 1)
+    assert len(rep.cosets) == 1128 and orbits == 8
+    assert len(calls) == rep.stats.exact_certificates == orbits
+    assert rep.stats.as_dict()["exact_certificates"] == orbits
+
+
+def test_orbit_certification_marks_no_planted_coset():
+    f = _lacunary(24)
+    cosets = hypersurface_cosets(f).cosets
+    # (1, 1) is off the curve; so is (zeta_5, zeta_5^2) with its whole
+    # orbit over Q, whose first member fails its own exact test
+    stray = TorsionCoset.from_point(TorsionPoint([0, 0]))
+    orbit = [TorsionCoset.from_point(TorsionPoint([Fraction(k, 5),
+                                                   Fraction(2 * k % 5, 5)]))
+             for k in range(1, 5)]
+    planted = [stray] + cosets[:5] + orbit + cosets[5:]
+    stats = solver.SolveStats()
+    certificates = solver._certify(planted, [f], stats)
+    assert certificates == [c.lies_on([f]) for c in planted]
+    assert certificates.count(False) == 5
+    # the members' 8 orbits, the stray coset and each planted conjugate
+    assert stats.exact_certificates == 8 + 1 + 4
+    # over Q(i), x = -i is a conjugate of the root x = i only over Q
+    g = L(1, {(1,): 1, (0,): -z4})
+    roots = [TorsionCoset.from_point(TorsionPoint([Fraction(1, 4)])),
+             TorsionCoset.from_point(TorsionPoint([Fraction(3, 4)]))]
+    assert solver._certify(roots, [g], solver.SolveStats()) == [True, False]
+    h = L(1, {(2,): 1, (0,): 1})
+    stats = solver.SolveStats()
+    assert solver._certify(roots, [h], stats) == [True, True]
+    assert stats.exact_certificates == 1
