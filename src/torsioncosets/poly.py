@@ -12,6 +12,9 @@ ring map Z[zeta_M] -> F_p, so a nonzero residue proves a candidate root
 is none.  Only a zero residue goes on to exact arithmetic.  Root finding
 needs no squarefree part; squarefree_part, which proves squarefreeness
 the same way by a nonzero discriminant, has no caller in the solver.
+Univariate polynomials have no representation of their own: every gcd,
+univariate or not, is the one multivariate_gcd recursion, which works
+over the coefficient field once the coefficients are constants.
 """
 
 from __future__ import annotations
@@ -451,113 +454,7 @@ def _vanishes_at_root_terms(rows, point: TorsionPoint) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers (dense lists of CyclotomicNumber, ascending)
-
-
-def _to_dense(f: LaurentPolynomial) -> list[CyclotomicNumber]:
-    if f.nvars != 1:
-        raise ValueError("univariate polynomial expected")
-    g, _ = f.strip_monomial_content()
-    if g.is_zero():
-        return []
-    deg = max(e[0] for e in g.terms)
-    out = [CyclotomicNumber.zero() for _ in range(deg + 1)]
-    for e, c in g.terms.items():
-        out[e[0]] = c
-    return out
-
-
-def _from_dense(coeffs) -> LaurentPolynomial:
-    return LaurentPolynomial(1, {(i,): c for i, c in enumerate(coeffs)
-                                 if not c.is_zero()})
-
-
-def _dense_trim(a):
-    while a and a[-1].is_zero():
-        a.pop()
-    return a
-
-
-def _dense_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    lead_inv = b[db].inverse()
-    q = [CyclotomicNumber.zero()] * max(len(a) - db, 1)
-    for k in range(len(a) - 1 - db, -1, -1):
-        c = a[db + k]
-        if c.is_zero():
-            continue
-        f = c * lead_inv
-        q[k] = f
-        for i in range(db + 1):
-            a[k + i] = a[k + i] - f * b[i]
-    return _dense_trim(q), _dense_trim(a[:db])
-
-
-def _primitive_scale(dense):
-    """dense divided by a positive rational so that its coordinates are
-    integers of content one."""
-    d = 1
-    for c in dense:
-        d = lcm(d, c.den)
-    g = 0
-    vecs = []
-    for c in dense:
-        mult = d // c.den
-        v = [x * mult for x in c.num]
-        vecs.append((c.level, v))
-        for x in v:
-            if x:
-                g = gcd(g, x)
-    if g == 0:
-        return list(dense)
-    return [CyclotomicNumber(lev, [x // g for x in v]) for lev, v in vecs]
-
-
-def _dense_prem(a, b):
-    # pseudo-remainder: lc(b)^(deg a - deg b + 1) * (a mod b)
-    m, n = len(a) - 1, len(b) - 1
-    lcb = b[n]
-    r = list(a)
-    for k in range(m - n, -1, -1):
-        coef = r[n + k]
-        r = [lcb * c for c in r]
-        if not coef.is_zero():
-            for i in range(n + 1):
-                r[k + i] = r[k + i] - coef * b[i]
-    return _dense_trim(r[:m])
-
-
-def _dense_gcd(a, b):
-    """Monic gcd over the coefficient field, computed by a primitive
-    pseudo-remainder sequence (fraction-free: intermediate coefficients
-    stay integral and content-stripped)."""
-    a = _dense_trim(list(a))
-    b = _dense_trim(list(b))
-    if not a or not b:
-        keep = a or b
-        if keep:
-            inv = keep[-1].inverse()
-            keep = [c * inv for c in keep]
-        return keep
-    a = _primitive_scale(a)
-    b = _primitive_scale(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        r = _dense_prem(a, b)
-        if not r:
-            break
-        r = _primitive_scale(r)
-        a, b = b, r
-    if len(b) == 1:
-        return [CyclotomicNumber.one()]
-    inv = b[-1].inverse()
-    return [c * inv for c in b]
-
-
-def _dense_derivative(a):
-    return _dense_trim([a[i] * i for i in range(1, len(a))])
+# univariate helpers
 
 
 def _eval_mod(coeffs, x: int, p: int) -> int:
@@ -579,28 +476,32 @@ def squarefree_part(f: LaurentPolynomial) -> LaurentPolynomial:
     If h = u a^2 b with a nonconstant, Gauss's lemma over the DVR at P
     makes a, b primitive and u integral, so lc(a) is a unit, deg a~ =
     deg a > 0, and a~ divides h~ and h~': the determinant would be zero.
-    Every other case takes the exact gcd with the derivative."""
-    a = _to_dense(f)
-    if len(a) <= 2:
+    Every other case divides h by multivariate_gcd(h, h'), its monic
+    gcd with the derivative."""
+    if f.nvars != 1:
+        raise ValueError("univariate polynomial expected")
+    h, _ = f.strip_monomial_content()
+    deg = h.degree_in(0)
+    if deg <= 1:
         # a constant derivative: f has degree at most one
-        return _from_dense(a)
-    level = lcm(*(c.level for c in a))
+        return h
+    level = h.coefficient_level()
     p, w = _kernel_prime(level)
-    if all(c.den % p for c in a):
-        img = [_eval_mod(c.num, pow(w, level // c.level, p), p)
-               * pow(c.den, -1, p) % p for c in a]
+    if all(c.den % p for c in h.terms.values()):
+        img = [0] * (deg + 1)
+        for (k,), c in h.terms.items():
+            img[k] = (_eval_mod(c.num, pow(w, level // c.level, p), p)
+                      * pow(c.den, -1, p) % p)
         der = [k * x % p for k, x in enumerate(img)][1:]
         if _sylvester_mod(img, der, p):
-            return _from_dense(a)
-    d = _dense_derivative(a)
-    g = _dense_gcd(a, d)
-    if len(g) == 1:
-        return _from_dense(a)
-    q, r = _dense_divmod(a, g)
-    if r:
+            return h
+    der = LaurentPolynomial(1, {(k - 1,): c * k
+                                for (k,), c in h.terms.items() if k})
+    q = h.divide_exact(multivariate_gcd(h, der))
+    if q is None:
         raise RuntimeError("internal error: the gcd with the derivative "
                            "does not divide the polynomial")
-    return _from_dense(q)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -1037,18 +938,17 @@ def _pseudo_remainder(fc: dict, gc: dict):
 
 def multivariate_gcd(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
     """A gcd of two nonzero Laurent polynomials, determined up to
-    monomial and unit factors; divides both exactly."""
+    monomial and unit factors; divides both exactly.  One recursion for
+    any number of variables: a primitive pseudo-remainder sequence in
+    the last variable used, with the gcd of the contents taken
+    recursively.  At the bottom the coefficients are constants and every
+    remainder is made monic, so the gcd of univariate inputs is monic."""
     if f.is_zero() or g.is_zero():
         raise ValueError("gcd of the zero polynomial")
     f, _ = f.strip_monomial_content()
     g, _ = g.strip_monomial_content()
     if f.is_unit() or g.is_unit():
         return LaurentPolynomial.constant(f.nvars, 1)
-    if f.nvars == 0:
-        return LaurentPolynomial.constant(0, 1)
-    if f.nvars == 1:
-        d = _dense_gcd(_to_dense(f), _to_dense(g))
-        return _from_dense(d)
     used = sorted(f.variables_used() | g.variables_used())
     var = used[-1]
     if not (any(e[var] for e in f.terms) and any(e[var] for e in g.terms)):
@@ -1089,7 +989,16 @@ def _content_and_primitive(coeff_dict):
     given as a dict from exponents to coefficients (polynomials in the
     other variables, as `coefficients_in` returns them): the content is
     a gcd of the coefficients, and the primitive part the dict of
-    coefficients divided by it."""
+    coefficients divided by it.  At the bottom of the recursion the
+    coefficients are constants and the gcd is taken over the coefficient
+    field: the content is the leading coefficient and the primitive part
+    the monic associate, whose Euclidean remainders are bounded by the
+    subresultants (Collins 1967; Brown and Traub 1971)."""
+    lead = coeff_dict[max(coeff_dict)]
+    zero = (0,) * lead.nvars
+    if all(list(c.terms) == [zero] for c in coeff_dict.values()):
+        inv = lead.terms[zero].inverse()
+        return lead, {k: c.scale(inv) for k, c in coeff_dict.items()}
     cont = None
     for _, c in sorted(coeff_dict.items()):
         cont = c if cont is None else multivariate_gcd(cont, c)

@@ -26,7 +26,13 @@ import logging
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import CyclotomicNumber, RootOfUnity, TorsionPoint, _divisors
+from .arith import (
+    CyclotomicNumber,
+    RootOfUnity,
+    TorsionPoint,
+    _divisors,
+    conjugate_exponent,
+)
 from .cosets import (
     TorsionCoset,
     maximal_filter,
@@ -301,12 +307,11 @@ def minimal_level_normalize(f: LaurentPolynomial):
     return identity, level, reduced
 
 
-def _galois_twist(f: LaurentPolynomial, exponent_for_level) -> LaurentPolynomial:
-    def tw(c):
-        if c.level == 1:
-            return c
-        return c.galois(exponent_for_level(c.level))
-    return f.map_coefficients(tw)
+def _galois_twist(f: LaurentPolynomial, t: int) -> LaurentPolynomial:
+    # z_m -> z_m^t on each coefficient, at its level m; level-1
+    # coefficients are fixed
+    return f.map_coefficients(
+        lambda c: c if c.level == 1 else c.galois(t % c.level))
 
 
 def auxiliary_polynomials(f: LaurentPolynomial):
@@ -335,27 +340,16 @@ def auxiliary_polynomials(f: LaurentPolynomial):
     if not content.is_unit():
         return "split", content.insert_variable(var)
     level = f.coefficient_level()
-    sign_choices = list(itertools.product((1, -1), repeat=n))
-    raw: list[LaurentPolynomial] = []
-    for eps in sign_choices:
-        if all(s == 1 for s in eps):
-            continue
-        raw.append(f.sign_variant(eps))
-    if level == 1:
-        for eps in sign_choices:
-            raw.append(f.sign_variant(eps).stretch_exponents(2))
-    elif level % 2 == 1:
-        # sigma: z_N -> z_N^2 on every coefficient subfield
-        twisted = _galois_twist(f, lambda d: 2 % d)
-        for eps in sign_choices:
-            raw.append(twisted.sign_variant(eps).stretch_exponents(2))
-    elif level % 4 == 0:
-        t = level // 2 + 1
-        twisted = _galois_twist(f, lambda d: t % d)
-        for eps in sign_choices:
-            raw.append(twisted.sign_variant(eps))
-    else:
+    if level % 4 == 2:
         raise RuntimeError(f"internal error: minimal level {level} is 2 mod 4")
+    # at an odd level (level 1 included) the twist z -> z^2 goes with
+    # X -> X^2, at a level divisible by 4 the twist z -> -z goes alone
+    twisted = _galois_twist(f, conjugate_exponent(level))
+    stretch = 2 if level % 2 else 1
+    sign_choices = list(itertools.product((1, -1), repeat=n))
+    raw = [f.sign_variant(eps) for eps in sign_choices[1:]]
+    raw += [twisted.sign_variant(eps).stretch_exponents(stretch)
+            for eps in sign_choices]
     kept = []
     for cand in raw:
         res = resultant(f, cand, var)
@@ -579,7 +573,6 @@ def _solve_variety(system, stats: SolveStats, depth: int):
     system = [f for f in system if not f.is_zero()]
     if not system:
         raise ValueError("empty system (all polynomials zero)")
-    n = system[0].nvars
     if len(system) == 1:
         return _solve_hypersurface(system[0], stats, depth)
     first = system[0]
@@ -587,18 +580,12 @@ def _solve_variety(system, stats: SolveStats, depth: int):
     base = _solve_hypersurface(first, stats, depth)
     results = []
     for c in base:
-        if c.dimension == 0:
-            if all(p.vanishes_at(c.point) for p in rest):
-                results.append(c)
-            continue
         if c.lies_on(rest):
             results.append(c)
-            continue
-        if n == 1:
-            continue
-        a = _primitive_member(c.lattice)
-        lifted = _slice_and_lift(system, a, c.point.power(a), stats, depth)
-        results.extend(e for e in lifted if e.lies_on(system))
+        elif c.dimension:
+            a = _primitive_member(c.lattice)
+            results.extend(_slice_and_lift(system, a, c.point.power(a),
+                                           stats, depth))
     return maximal_filter(results)
 
 

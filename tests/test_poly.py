@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -15,8 +15,6 @@ from torsioncosets.lattices import IntegerLattice, identity_matrix
 from torsioncosets import poly
 from torsioncosets.poly import (
     LaurentPolynomial,
-    _dense_divmod,
-    _dense_trim,
     cyclotomic_roots,
     multivariate_gcd,
     resultant,
@@ -25,6 +23,117 @@ from torsioncosets.poly import (
 )
 
 L = LaurentPolynomial
+
+
+# ---------------------------------------------------------------------------
+# dense univariate reference: lists of CyclotomicNumber, ascending, with a
+# primitive pseudo-remainder gcd that shares no code with multivariate_gcd
+
+
+def _to_dense(f: LaurentPolynomial) -> list[CyclotomicNumber]:
+    if f.nvars != 1:
+        raise ValueError("univariate polynomial expected")
+    g, _ = f.strip_monomial_content()
+    if g.is_zero():
+        return []
+    deg = max(e[0] for e in g.terms)
+    out = [CyclotomicNumber.zero() for _ in range(deg + 1)]
+    for e, c in g.terms.items():
+        out[e[0]] = c
+    return out
+
+
+def _from_dense(coeffs) -> LaurentPolynomial:
+    return LaurentPolynomial(1, {(i,): c for i, c in enumerate(coeffs)
+                                 if not c.is_zero()})
+
+
+def _dense_trim(a):
+    while a and a[-1].is_zero():
+        a.pop()
+    return a
+
+
+def _dense_divmod(a, b):
+    a = list(a)
+    db = len(b) - 1
+    lead_inv = b[db].inverse()
+    q = [CyclotomicNumber.zero()] * max(len(a) - db, 1)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = a[db + k]
+        if c.is_zero():
+            continue
+        f = c * lead_inv
+        q[k] = f
+        for i in range(db + 1):
+            a[k + i] = a[k + i] - f * b[i]
+    return _dense_trim(q), _dense_trim(a[:db])
+
+
+def _primitive_scale(dense):
+    """dense divided by a positive rational so that its coordinates are
+    integers of content one."""
+    d = 1
+    for c in dense:
+        d = lcm(d, c.den)
+    g = 0
+    vecs = []
+    for c in dense:
+        mult = d // c.den
+        v = [x * mult for x in c.num]
+        vecs.append((c.level, v))
+        for x in v:
+            if x:
+                g = gcd(g, x)
+    if g == 0:
+        return list(dense)
+    return [CyclotomicNumber(lev, [x // g for x in v]) for lev, v in vecs]
+
+
+def _dense_prem(a, b):
+    # pseudo-remainder: lc(b)^(deg a - deg b + 1) * (a mod b)
+    m, n = len(a) - 1, len(b) - 1
+    lcb = b[n]
+    r = list(a)
+    for k in range(m - n, -1, -1):
+        coef = r[n + k]
+        r = [lcb * c for c in r]
+        if not coef.is_zero():
+            for i in range(n + 1):
+                r[k + i] = r[k + i] - coef * b[i]
+    return _dense_trim(r[:m])
+
+
+def _dense_gcd(a, b):
+    """Monic gcd over the coefficient field, computed by a primitive
+    pseudo-remainder sequence (fraction-free: intermediate coefficients
+    stay integral and content-stripped)."""
+    a = _dense_trim(list(a))
+    b = _dense_trim(list(b))
+    if not a or not b:
+        keep = a or b
+        if keep:
+            inv = keep[-1].inverse()
+            keep = [c * inv for c in keep]
+        return keep
+    a = _primitive_scale(a)
+    b = _primitive_scale(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _dense_prem(a, b)
+        if not r:
+            break
+        r = _primitive_scale(r)
+        a, b = b, r
+    if len(b) == 1:
+        return [CyclotomicNumber.one()]
+    inv = b[-1].inverse()
+    return [c * inv for c in b]
+
+
+def _dense_derivative(a):
+    return _dense_trim([a[i] * i for i in range(1, len(a))])
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +219,16 @@ def _resultant_bareiss(f, g, var):
 
 def _squarefree_exact(f):
     # f / gcd(f, f') by the exact pseudo-remainder gcd alone
-    a = poly._to_dense(f)
-    d = poly._dense_derivative(a)
+    a = _to_dense(f)
+    d = _dense_derivative(a)
     if len(d) <= 1:
-        return poly._from_dense(a)
-    g = poly._dense_gcd(a, d)
+        return _from_dense(a)
+    g = _dense_gcd(a, d)
     if len(g) == 1:
-        return poly._from_dense(a)
+        return _from_dense(a)
     q, r = _dense_divmod(a, g)
     assert not r
-    return poly._from_dense(q)
+    return _from_dense(q)
 
 
 def _dense_mul(a, b):
@@ -146,7 +255,7 @@ def _rational_prefilter(a):
         prod = _dense_mul(_dense_compose_power(a, 1, -1),
                           _dense_mul(_dense_compose_power(a, 2, 1),
                                      _dense_compose_power(a, 2, -1)))
-        g = poly._dense_gcd(a, prod)
+        g = _dense_gcd(a, prod)
         if len(g) == len(a) or len(g) <= 1:
             return g
         a = g
@@ -157,13 +266,13 @@ def _cyclotomic_roots_exact(g):
     # the root finder with every candidate orbit tested exactly
     if len(g.terms) == 1:
         return [], L.constant(1, 1)
-    h = poly._to_dense(_squarefree_exact(g))
+    h = _to_dense(_squarefree_exact(g))
     level = lcm(*(c.level for c in h))
     if level == 1:
         h = _rational_prefilter(h)
         if len(h) <= 1:
             return [], L.constant(1, 1)
-    rows = poly._from_dense(h)._eval_data()
+    rows = _from_dense(h)._eval_data()
     deg, phi_n = len(h) - 1, euler_phi(level)
     roots, found_degree = [], 0
     for d in poly._orders_with_phi_at_most(deg * phi_n):
@@ -764,10 +873,11 @@ def test_cyclotomic_roots_differential_sweep(monkeypatch):
     # references on products of cyclotomic factors (some repeated) and
     # junk factors; some draws get a factor p X + 1 or X + 1/p for the
     # kernel prime p of their level, so that lc(f) or a denominator of f
-    # is not a unit there and squarefree_part must go exact
+    # is not a unit there and squarefree_part must go exact; the exact
+    # gcd with the derivative equals the dense reference's monic gcd
     gcd_calls = []
-    exact_gcd = poly._dense_gcd
-    monkeypatch.setattr(poly, "_dense_gcd",
+    exact_gcd = poly.multivariate_gcd
+    monkeypatch.setattr(poly, "multivariate_gcd",
                         lambda a, b: gcd_calls.append(1) or exact_gcd(a, b))
     rng = random.Random(8128)
     kinds = {"plain": 0, "repeated": 0, "lc": 0, "den": 0}
@@ -787,13 +897,17 @@ def test_cyclotomic_roots_differential_sweep(monkeypatch):
             if f.degree_in(0) == 0:
                 continue
             expect = _squarefree_exact(f)
-            squarefree = len(poly._to_dense(expect)) == len(poly._to_dense(f))
+            squarefree = len(_to_dense(expect)) == len(_to_dense(f))
             gcd_calls.clear()
             assert squarefree_part(f) == expect
             if special:
                 assert gcd_calls
             elif squarefree:
                 assert not gcd_calls
+            dense = _to_dense(f)
+            derivative = _dense_derivative(dense)
+            assert (multivariate_gcd(_from_dense(dense), _from_dense(derivative))
+                    == _from_dense(_dense_gcd(dense, derivative)))
             kinds[special or ("plain" if squarefree else "repeated")] += 1
             assert cyclotomic_roots(f) == _cyclotomic_roots_exact(f)
     assert min(kinds.values()) >= 10

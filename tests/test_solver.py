@@ -6,7 +6,7 @@ from math import lcm
 
 import pytest
 
-from torsioncosets import solver
+from torsioncosets import poly, solver
 from torsioncosets.arith import (
     CyclotomicNumber,
     RootOfUnity,
@@ -712,6 +712,56 @@ def test_squarefree_hang_reproducers(text):
     assert rep.cosets == []
     assert cross_check(rep, system, 48).passed
 
+
+def _level12_trinomial(rng, nvars):
+    # three distinct exponent vectors with entries in 0..3 and nonzero
+    # level-12 coefficients with power-basis coordinates in -2..2
+    exps = set()
+    while len(exps) < 3:
+        exps.add(tuple(rng.randint(0, 3) for _ in range(nvars)))
+    terms = {}
+    for e in sorted(exps):
+        c = CyclotomicNumber.zero()
+        while c.is_zero():
+            c = CyclotomicNumber(12, [rng.randint(-2, 2) for _ in range(4)])
+        terms[e] = c
+    return L(nvars, terms)
+
+
+def _univariate_gcd_draws(count):
+    # products a*b (even draws) and c(x)*a (odd draws) of random level-12
+    # trinomials; their coefficients in y, and the content c(x), are
+    # univariate gcd inputs
+    rng = random.Random(12)
+    draws = []
+    for k in range(count):
+        a = _level12_trinomial(rng, 2)
+        if k % 2:
+            draws.append(_level12_trinomial(rng, 1).insert_variable(1) * a)
+        else:
+            draws.append(a * _level12_trinomial(rng, 2))
+    return draws
+
+
+def test_univariate_gcd_sweep(monkeypatch):
+    # the univariate gcds go through the multivariate_gcd recursion, and
+    # every draw passes the order-12 oracle; CI solves draw 6 through the
+    # CLI under a timeout
+    gcds = []
+    exact = poly.multivariate_gcd
+
+    def counting_gcd(a, b):
+        g = exact(a, b)
+        if a.nvars == 1:
+            gcds.append(g)
+        return g
+
+    monkeypatch.setattr(poly, "multivariate_gcd", counting_gcd)
+    monkeypatch.setattr(solver, "multivariate_gcd", counting_gcd)
+    for f in _univariate_gcd_draws(16):
+        rep = hypersurface_cosets(f)
+        assert cross_check(rep, [f], 12).passed
+    assert any(not g.is_unit() for g in gcds)
 
 def _lacunary(d):
     return poly2({(d, 0): 1, (0, d): 1, (1, 1): 1, (0, 0): 1})
