@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import CyclotomicNumber, TorsionPoint
@@ -49,7 +49,6 @@ class SystemDocument:
     level: int
     var_names: list[str]
     polynomials: list[LaurentPolynomial]
-    options: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,9 @@ def solve_exponent_congruences(rows, s) -> CongruenceSolutionSet:
     y0 = [t[i] / diag[i] for i in range(rank)] + [Fraction(0)] * (n - rank)
     q0 = TorsionPoint([sum(Fraction(v[i][j]) * y0[j] for j in range(n)) % 1
                        for i in range(n)])
-    hom = IntegerLattice(n, rows).saturation()
+    # R = W^-1 D V^-1, so the saturated row space of R is spanned by the
+    # first rank rows of V^-1
+    hom = IntegerLattice(n, mat_inverse_unimodular(v)[:rank])
     generators = [([v[row][i] for row in range(n)], diag[i])
                   for i in range(rank) if diag[i] != 1]
     return CongruenceSolutionSet(n, True, q0, hom, generators)

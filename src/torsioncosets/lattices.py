@@ -1,7 +1,9 @@
-"""Integer lattice algorithms: Hermite and Smith normal forms with
-transformation matrices, saturation, orthogonal complements,
-completion of a primitive vector to a unimodular basis, and the
-least-weight permutation (assignment) of a square integer matrix.
+"""Integer lattice algorithms: the Hermite normal form with its
+transformation matrix, the one integer elimination here; the Smith
+form by alternating row HNFs of a matrix and of its transpose;
+saturation, orthogonal complements, completion of a primitive vector
+to a unimodular basis, and the least-weight permutation (assignment)
+of a square integer matrix.
 
 All arithmetic is fraction-free over Python integers; matrices are
 lists of row lists.
@@ -178,95 +180,41 @@ def hermite_normal_form(rows) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def _smith_diagonalize(mat):
-    """General Smith diagonalization W * mat * V = D for any integer
-    matrix; returns (W, diag, V) with the divisibility chain on the
-    positive diagonal entries."""
-    k = len(mat)
-    n = len(mat[0]) if k else 0
-    a = [list(r) for r in mat]
-    w = identity_matrix(k)
-    v = identity_matrix(n)
+    """Smith diagonalization W * mat * V = D of any integer matrix by
+    alternating Hermite forms (Kannan and Bachem 1979): (W, diag, V),
+    the nonzero entries of diag first, positive, with the divisibility
+    chain.  Each round takes a column HNF (a <- a * T^T, V <- V * T^T),
+    then a row HNF (a <- T * a, W <- T * W), until a is diagonal; where
+    d_i does not divide d_j (i < j), row j is added to row i, and the
+    next column HNF drops (i, i) to gcd(d_i, d_j), a proper divisor.
 
-    def col_op(j1, j2, c11, c12, c21, c22):
-        # columns j1, j2 <- (c11*j1 + c21*j2, c12*j1 + c22*j2)
-        for row in a:
-            x, y = row[j1], row[j2]
-            row[j1] = c11 * x + c21 * y
-            row[j2] = c12 * x + c22 * y
-        for row in v:
-            x, y = row[j1], row[j2]
-            row[j1] = c11 * x + c21 * y
-            row[j2] = c12 * x + c22 * y
-
-    t = 0
-    while t < k and t < n:
-        piv = None
-        best = None
-        for i in range(t, k):
-            for j in range(t, n):
-                if a[i][j] and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    piv = (i, j)
-        if piv is None:
-            break
-        pi, pj = piv
-        a[t], a[pi] = a[pi], a[t]
-        w[t], w[pi] = w[pi], w[t]
-        if pj != t:
-            col_op(t, pj, 0, 1, 1, 0)
-        while True:
-            # clear column t
-            for i in range(t + 1, k):
-                while a[i][t]:
-                    p, q = a[t][t], a[i][t]
-                    if q % p == 0:
-                        f = q // p
-                        a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-                        w[i] = [x - f * y for x, y in zip(w[i], w[t])]
-                    else:
-                        g, x, y = xgcd(p, q)
-                        pp, qq = p // g, q // g
-                        new_t = [x * u + y * vv for u, vv in zip(a[t], a[i])]
-                        new_i = [-qq * u + pp * vv for u, vv in zip(a[t], a[i])]
-                        a[t], a[i] = new_t, new_i
-                        new_wt = [x * u + y * vv for u, vv in zip(w[t], w[i])]
-                        new_wi = [-qq * u + pp * vv for u, vv in zip(w[t], w[i])]
-                        w[t], w[i] = new_wt, new_wi
-            # clear row t
-            row_dirty = False
-            for j in range(t + 1, n):
-                while a[t][j]:
-                    p, q = a[t][t], a[t][j]
-                    if q % p == 0:
-                        f = q // p
-                        col_op(t, j, 1, -f, 0, 1)
-                    else:
-                        g, x, y = xgcd(p, q)
-                        pp, qq = p // g, q // g
-                        col_op(t, j, x, -qq, y, pp)
-                        row_dirty = True
-            if row_dirty and any(a[i][t] for i in range(t + 1, k)):
-                continue
-            # force divisibility of the remaining block by the pivot
-            p = a[t][t]
-            bad = None
-            for i in range(t + 1, k):
-                for j in range(t + 1, n):
-                    if a[i][j] % p != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            w[t] = [x + y for x, y in zip(w[t], w[bad])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            w[t] = [-x for x in w[t]]
-        t += 1
-    diag = [a[i][i] for i in range(min(k, n))]
-    return w, diag, v
+    Termination: each HNF makes a[0][0] the gcd of its row or column
+    and zeroes the rest of that line, so a[0][0] only moves to its own
+    divisors.  An HNF after the first that leaves it unchanged keeps
+    the other line zero too, and both stay zero; the rounds then act on
+    the trailing block alone, where the same holds.  The result is the
+    Smith form: W and V keep the determinantal divisors (the gcds of
+    the i x i minors), which for a diagonal with the divisibility chain
+    are d_1 * ... * d_i.
+    """
+    k, n = len(mat), (len(mat[0]) if mat else 0)
+    a, w, v = [list(r) for r in mat], identity_matrix(k), identity_matrix(n)
+    while True:
+        _, t = hermite_normal_form(transpose(a))
+        t = transpose(t)
+        a, v = mat_mul(a, t), mat_mul(v, t)
+        _, t = hermite_normal_form(a)
+        a, w = mat_mul(t, a), mat_mul(t, w)
+        if any(a[i][j] for i in range(k) for j in range(n) if i != j):
+            continue
+        diag = [a[i][i] for i in range(min(k, n))]
+        bad = next(((i, j) for i, d in enumerate(diag) if d
+                    for j in range(i + 1, len(diag)) if diag[j] % d), None)
+        if bad is None:
+            return w, diag, v
+        i, j = bad
+        a[i] = [x + y for x, y in zip(a[i], a[j])]
+        w[i] = [x + y for x, y in zip(w[i], w[j])]
 
 
 def smith_normal_form(mat):
@@ -278,9 +226,9 @@ def smith_normal_form(mat):
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise ValueError("matrix must be square")
-    if determinant(mat) == 0:
-        raise ValueError("matrix is singular")
     w, diag, v = _smith_diagonalize(mat)
+    if 0 in diag:
+        raise ValueError("matrix is singular")
     d = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
     return w, d, v
 
@@ -382,7 +330,9 @@ def is_primitive_vector(a) -> bool:
 
 def extend_to_basis(a) -> list[list[int]]:
     """A unimodular matrix whose first row is the primitive vector a;
-    the remaining rows are size-reduced against the earlier ones."""
+    the remaining rows are size-reduced against the earlier ones.  The
+    completion is pinned by tests: it sets the coordinates of every
+    slice, and so which variable the resultants eliminate."""
     a = list(a)
     n = len(a)
     if not is_primitive_vector(a):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import logging
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .arith import (
     CyclotomicNumber,
@@ -40,7 +40,6 @@ from .cosets import (
 )
 from .lattices import (
     IntegerLattice,
-    determinant,
     extend_to_basis,
     hermite_normal_form,
     identity_matrix,
@@ -259,7 +258,7 @@ def rescale_to_full_lattice(f: LaurentPolynomial):
             results.extend(sol.cosets())
         return results
 
-    return fstar, pullback, abs(determinant(a_rows))
+    return fstar, pullback, prod(a_rows[i][i] for i in range(n))
 
 
 # ---------------------------------------------------------------------------

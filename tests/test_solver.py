@@ -1,11 +1,15 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+import torsioncosets
 from torsioncosets import poly, solver
 from torsioncosets.arith import (
     CyclotomicNumber,
@@ -884,3 +888,25 @@ def test_orbit_certification_marks_no_planted_coset():
     stats = solver.SolveStats()
     assert solver._certify(roots, [h], stats) == [True, True]
     assert stats.exact_certificates == 1
+
+
+# a trivariate level-12 hypersurface from the (n, k, e, N) = (3, 5, 3, 12)
+# generator of ROADMAP "Beyond the corpora"; hypersurface_cosets does
+# not finish on it within 10 s.  Strict: once it solves within the
+# timeout, the test fails and asks for the marker to go.
+_LEVEL12_TRIVARIATE = (
+    "vars: x y w\nfield: 12\n"
+    "poly: (-z - z^2 + z^3)*x^3 + (-2 + z - 2*z^2 - z^3)*x^2*y^3"
+    " + (1 - z^2 + 2*z^3)*x^2*y^2*w^3 + (z - 2*z^3)*x*y^3*w^3"
+    " + (-2 + 2*z^2 + z^3)*w^2\n")
+
+
+@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
+                   reason="known hang: level-12 trivariate hypersurface")
+def test_level12_trivariate_hypersurface_solves():
+    src = os.path.dirname(os.path.dirname(torsioncosets.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "torsioncosets.cli", "solve"],
+                          input=_LEVEL12_TRIVARIATE, capture_output=True,
+                          text=True, env=env, timeout=3)
+    assert done.returncode == 0
