@@ -21,21 +21,28 @@ from math import gcd, lcm
 from .lattices import IntegerLattice, hermite_normal_form, mat_mul
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing a positive integer, ascending."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def euler_phi(n: int) -> int:
     """Euler totient of a positive integer."""
     if n < 1:
         raise ValueError("totient needs a positive integer")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
+    for p in _prime_factors(n):
+        result -= result // p
     return result
 
 
@@ -64,19 +71,27 @@ _CYCLO_CACHE: dict[int, tuple[int, ...]] = {1: (-1, 1)}
 _CYCLO_LOCK = threading.Lock()
 
 
+def _stretch(poly, s: int) -> list[int]:
+    # coefficients of poly(x^s)
+    out = [0] * ((len(poly) - 1) * s + 1)
+    out[::s] = poly
+    return out
+
+
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the n-th cyclotomic polynomial."""
     with _CYCLO_LOCK:
         cached = _CYCLO_CACHE.get(n)
     if cached is not None:
         return cached
-    # Phi_n = (x^n - 1) / prod of Phi_d over proper divisors d of n.
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            phi_d = cyclotomic_polynomial(d)
-            poly = _poly_div_exact_int(poly, list(phi_d))
-    result = tuple(poly)
+    # Phi_pm(x) = Phi_m(x^p) / Phi_m(x) for a prime p not dividing m,
+    # from Phi_1 up to the radical r of n; then Phi_n(x) = Phi_r(x^(n/r))
+    poly = [-1, 1]
+    r = 1
+    for p in _prime_factors(n):
+        poly = _poly_div_exact_int(_stretch(poly, p), poly)
+        r *= p
+    result = tuple(_stretch(poly, n // r))
     with _CYCLO_LOCK:
         _CYCLO_CACHE[n] = result
     return result
@@ -92,30 +107,29 @@ class _Level:
         self.n = n
         self.phi = euler_phi(n)
         self.cyclo = cyclotomic_polynomial(n)
-        powers = []
-        for k in range(self.phi):
-            vec = [0] * self.phi
-            vec[k] = 1
-            powers.append(tuple(vec))
-        self.powers = powers
+        self.powers = []
         self.lock = threading.Lock()
 
     def power(self, k: int) -> tuple[int, ...]:
-        # coordinates of zeta^k mod Phi_N; extends the table as needed
+        # coordinates of zeta^k mod Phi_N; extends the table as needed,
+        # so a level costs nothing beyond the powers asked for
         k %= self.n
         if k < len(self.powers):
             return self.powers[k]
         with self.lock:
             while len(self.powers) <= k:
                 j = len(self.powers)
-                prev = self.powers[j - 1]
-                shifted = [0] + list(prev)
-                top = shifted.pop()
-                if top:
-                    # x^phi = -(lower part of Phi_N)
-                    for i in range(self.phi):
-                        shifted[i] -= top * self.cyclo[i]
-                self.powers.append(tuple(shifted))
+                if j < self.phi:
+                    vec = [0] * self.phi
+                    vec[j] = 1
+                else:
+                    vec = [0] + list(self.powers[j - 1])
+                    top = vec.pop()
+                    if top:
+                        # x^phi = -(lower part of Phi_N)
+                        for i in range(self.phi):
+                            vec[i] -= top * self.cyclo[i]
+                self.powers.append(tuple(vec))
             return self.powers[k]
 
 

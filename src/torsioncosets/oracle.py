@@ -17,11 +17,23 @@ u = 1 mod m), so every orbit has |H_m| = phi(m)/phi(gcd(m, N)) points.
 The scan tests the lex-least point of each orbit and emits the whole
 orbit when it vanishes.
 
-The exact test works in cleared-denominator integer arithmetic: each
-polynomial is compiled once per point order into integer coefficient
-rows at a common cyclotomic level, a candidate point evaluation is a
-handful of integer additions, and the zero test reduces once modulo the
-cyclotomic polynomial.
+The exact test sums cached integer rows.  Let B = lcm(N_f, m), with N_f
+the lcm of f's stored coefficient levels and D the lcm of their
+denominators.  Then
+
+    D * f(zeta_m^k) = sum_e D*c_e * zeta_B^(r_e * B/m),  r_e = e.k mod m,
+
+so the value at k depends on k only through the absolute residues r_e.
+The row of a term e and a residue r holds the power-basis coordinates of
+D*c_e*zeta_B^(r*B/m), reduced modulo Phi_B; since Phi_B is monic they
+are integers.  A row is built the first time its (term, residue) pair
+is met and then reused for every later orbit representative of the same
+order, and a point is a zero exactly when the elementwise sum of its t
+rows, one per term, is all zero.  The test is exact: coordinates in the
+power basis 1, zeta_B, ..., zeta_B^(phi(B)-1) of Q(zeta_B) are unique,
+and the sum of the rows is the coordinate vector of D*f(zeta_m^k).
+cross_check's `tested` still counts one decision per Galois orbit: the
+rows change how a representative is decided, not which are.
 
 This module is the independent completeness reference for the solver,
 so it imports nothing from the library but `.arith`.
@@ -32,6 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 
 from .arith import TorsionPoint, _level
 
@@ -72,48 +85,48 @@ class OracleReport:
 
 
 class _CompiledPoly:
-    # integer-only evaluation data for one polynomial at one point order
-    __slots__ = ("big", "phi", "rows", "level")
+    # integer-only evaluation data for one polynomial at one point order m:
+    # per term, its exponent vector, its cleared coefficient as (position,
+    # value) pairs at level big = lcm(N_f, m), and its m residue rows,
+    # each built on first use (see the module docstring)
+    __slots__ = ("level", "unit", "terms")
 
     def __init__(self, f, m: int):
         big = lcm(_system_level([f]), m)
         den = 1
         for c in f.terms.values():
             den = lcm(den, c.den)
-        rows = []
+        terms = []
         for e, c in f.terms.items():
             mult = den // c.den
             step = big // c.level
             coeff_positions = tuple((k * step, x * mult)
                                     for k, x in enumerate(c.num) if x)
-            rows.append((e, coeff_positions))
-        self.big = big
-        self.phi = _level(big).phi
-        self.rows = rows
+            terms.append((e, coeff_positions, [None] * m))
         self.level = _level(big)
+        self.unit = big // m
+        self.terms = terms
+
+    def _row(self, coeff_positions, r: int) -> list[int]:
+        # power-basis coordinates of den*c_e*zeta_big^(r*big/m) mod Phi_big
+        level = self.level
+        base = r * self.unit
+        row = [0] * level.phi
+        for p, c in coeff_positions:
+            for i, x in enumerate(level.power(base + p)):
+                if x:
+                    row[i] += c * x
+        return row
 
     def vanishes(self, k, m: int) -> bool:
-        big = self.big
-        unit = big // m
-        acc = [0] * big
-        for e, coeff_positions in self.rows:
-            dot = 0
-            for x, ki in zip(e, k):
-                if x:
-                    dot += x * ki
-            base = (dot % m) * unit
-            for p, c in coeff_positions:
-                acc[(base + p) % big] += c
-        phi = self.phi
-        red = acc[:phi]
-        for p in range(phi, big):
-            c = acc[p]
-            if c:
-                pw = self.level.power(p)
-                for i, x in enumerate(pw):
-                    if x:
-                        red[i] += c * x
-        return not any(red)
+        rows = []
+        for e, coeff_positions, table in self.terms:
+            r = sum(map(mul, e, k)) % m
+            row = table[r]
+            if row is None:
+                row = table[r] = self._row(coeff_positions, r)
+            rows.append(row)
+        return not any(map(sum, zip(*rows)))
 
 
 def _jordan_totient(n: int, m: int) -> int:

@@ -9,6 +9,7 @@ from torsioncosets.arith import (
     RootOfUnity,
     TorsionPoint,
     conjugate_exponent,
+    _poly_div_exact_int,
     cyclotomic_polynomial,
     euler_phi,
 )
@@ -28,6 +29,27 @@ def test_cyclotomic_polynomials():
     # degree is phi(n)
     for n in range(1, 40):
         assert len(cyclotomic_polynomial(n)) == euler_phi(n) + 1
+
+
+def _reference_cyclotomic_polynomial(n, cache={1: (-1, 1)}):
+    # the former recursion: Phi_n = (x^n - 1) / prod of Phi_d over the
+    # proper divisors d of n
+    if n in cache:
+        return cache[n]
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            phi_d = _reference_cyclotomic_polynomial(d)
+            poly = _poly_div_exact_int(poly, list(phi_d))
+    cache[n] = tuple(poly)
+    return cache[n]
+
+
+def test_cyclotomic_polynomials_match_divisor_recursion():
+    for n in range(1, 401):
+        assert cyclotomic_polynomial(n) == \
+            _reference_cyclotomic_polynomial(n), n
+        assert euler_phi(n) == sum(1 for k in range(n) if gcd(k, n) == 1)
 
 
 def test_basic_identities():

@@ -1,17 +1,18 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
-from torsioncosets.arith import CyclotomicNumber, TorsionPoint, euler_phi
+from torsioncosets.arith import CyclotomicNumber, TorsionPoint, _level, euler_phi
 from torsioncosets.cosets import TorsionCoset
 from torsioncosets.lattices import IntegerLattice
 from torsioncosets.oracle import (
     BudgetExceededError,
     _CompiledPoly,
     _orbit_representatives,
+    _system_level,
     _units,
     brute_force_points,
     cross_check,
@@ -51,6 +52,52 @@ def _grid_points(system, max_order):
                 found.append(tuple(Fraction(x, m) for x in k))
     found.sort()
     return [TorsionPoint(f) for f in found]
+
+
+class _ReferenceCompiledPoly:
+    # the former kernel: one accumulator of length big = lcm(N_f, m) per
+    # test, reduced modulo Phi_big on every call
+    __slots__ = ("big", "phi", "rows", "level")
+
+    def __init__(self, f, m: int):
+        big = lcm(_system_level([f]), m)
+        den = 1
+        for c in f.terms.values():
+            den = lcm(den, c.den)
+        rows = []
+        for e, c in f.terms.items():
+            mult = den // c.den
+            step = big // c.level
+            coeff_positions = tuple((k * step, x * mult)
+                                    for k, x in enumerate(c.num) if x)
+            rows.append((e, coeff_positions))
+        self.big = big
+        self.phi = _level(big).phi
+        self.rows = rows
+        self.level = _level(big)
+
+    def vanishes(self, k, m: int) -> bool:
+        big = self.big
+        unit = big // m
+        acc = [0] * big
+        for e, coeff_positions in self.rows:
+            dot = 0
+            for x, ki in zip(e, k):
+                if x:
+                    dot += x * ki
+            base = (dot % m) * unit
+            for p, c in coeff_positions:
+                acc[(base + p) % big] += c
+        phi = self.phi
+        red = acc[:phi]
+        for p in range(phi, big):
+            c = acc[p]
+            if c:
+                pw = self.level.power(p)
+                for i, x in enumerate(pw):
+                    if x:
+                        red[i] += c * x
+        return not any(red)
 
 
 def test_brute_force_examples():
@@ -279,3 +326,89 @@ def test_cross_check_counts_one_test_per_orbit(monkeypatch):
         assert rep.tested == len(calls) == len(set(calls)) == orbits
         assert rep.tested < _grid_size(2, 12)
         assert rep.points == _grid_points([f], 12)
+
+
+# ---------------------------------------------------------------------------
+# the residue-row kernel against the former accumulator kernel
+
+
+def _coefficient_with_denominator(rng, level):
+    c = _coefficient(rng, level)
+    if rng.random() < 0.4:
+        c = c * Fraction(1, rng.randint(2, 6))
+    return c
+
+
+def _kernel_draws(rng, n, level):
+    # seeded polynomials with negative exponents and rational
+    # denominators, most of them times a binomial x^e - zeta so that some
+    # representatives vanish, then the zero polynomial and a nonzero
+    # constant
+    for _ in range(3):
+        f = L(n, {tuple(rng.randint(-2, 3) for _ in range(n)):
+                  _coefficient_with_denominator(rng, level)
+                  for _ in range(rng.choice((1, 2, 3)))})
+        e = tuple(rng.randint(-1, 2) for _ in range(n))
+        if rng.random() < 0.8 and any(e):
+            f = f * L(n, {e: 1, (0,) * n: _root_of_unity(rng, level)})
+        yield f
+    yield L(n, {})
+    yield L(n, {(0,) * n: _coefficient_with_denominator(rng, level)})
+
+
+def test_residue_rows_match_reference_kernel():
+    rng = random.Random(14)
+    orders = {1: range(1, 31), 2: list(range(1, 17)) + [24, 30],
+              3: list(range(1, 9)) + [12, 30]}
+    vanished = tested = 0
+    for n in (1, 2, 3):
+        for level in (1, 3, 4, 8, 12, 24):
+            for f in _kernel_draws(rng, n, level):
+                for m in orders[n]:
+                    new = _CompiledPoly(f, m)
+                    ref = _ReferenceCompiledPoly(f, m)
+                    for k in _orbit_representatives(n, m, level):
+                        verdict = new.vanishes(k, m)
+                        assert verdict == ref.vanishes(k, m), (f, m, k)
+                        if not f.terms:
+                            assert verdict
+                            continue
+                        if list(f.terms) == [(0,) * n]:
+                            assert not verdict
+                        vanished += verdict
+                        tested += 1
+    # the comparison means little unless nonzero polynomials vanish on
+    # many representatives and not on most
+    assert tested > 10 * vanished > 1000
+
+
+def test_residue_rows_are_built_lazily(monkeypatch):
+    # each row is built on the first test that needs it, so a scan builds
+    # at most one row per term per test; an eager table would build all
+    # terms * m rows of every order up front
+    init, vanishes, row = (_CompiledPoly.__init__, _CompiledPoly.vanishes,
+                           _CompiledPoly._row)
+    compiled, calls, built = [], {}, {}
+
+    def recorded_init(self, f, m):
+        init(self, f, m)
+        compiled.append((self, len(f.terms)))
+
+    def counted_vanishes(self, k, m):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return vanishes(self, k, m)
+
+    def counted_row(self, coeff_positions, r):
+        built[id(self)] = built.get(id(self), 0) + 1
+        return row(self, coeff_positions, r)
+
+    monkeypatch.setattr(_CompiledPoly, "__init__", recorded_init)
+    monkeypatch.setattr(_CompiledPoly, "vanishes", counted_vanishes)
+    monkeypatch.setattr(_CompiledPoly, "_row", counted_row)
+    z12 = CyclotomicNumber.zeta(12)
+    f = L(1, {(5,): z12, (1,): 1 + z12, (0,): -1})
+    assert brute_force_points([f], 300) == []
+    assert len(compiled) == 300
+    for c, terms in compiled:
+        assert built.get(id(c), 0) <= terms * calls.get(id(c), 0)
+    assert sum(built.values()) > 0
