@@ -32,8 +32,8 @@ order, and a point is a zero exactly when the elementwise sum of its t
 rows, one per term, is all zero.  The test is exact: coordinates in the
 power basis 1, zeta_B, ..., zeta_B^(phi(B)-1) of Q(zeta_B) are unique,
 and the sum of the rows is the coordinate vector of D*f(zeta_m^k).
-cross_check's `tested` still counts one decision per Galois orbit: the
-rows change how a representative is decided, not which are.
+cross_check's `tested` counts one decision per Galois orbit: the rows
+decide a representative, they do not change which points are tested.
 
 This module is the independent completeness reference for the solver,
 so it imports nothing from the library but `.arith`.
@@ -113,9 +113,15 @@ class _CompiledPoly:
         base = r * self.unit
         row = [0] * level.phi
         for p, c in coeff_positions:
-            for i, x in enumerate(level.power(base + p)):
-                if x:
-                    row[i] += c * x
+            q = (base + p) % level.n
+            if q < level.phi:
+                # zeta^q is a basis vector: asking power() for it would
+                # fill the level's shared table with unit vectors up to q
+                row[q] += c
+            else:
+                for i, x in enumerate(level.power(q)):
+                    if x:
+                        row[i] += c * x
         return row
 
     def vanishes(self, k, m: int) -> bool:
