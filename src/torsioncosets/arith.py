@@ -41,8 +41,16 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("totient needs a positive integer")
     result = n
-    for p in _prime_factors(n):
-        result -= result // p
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            result -= result // p
+            while m % p == 0:
+                m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:
+        result -= result // m
     return result
 
 
