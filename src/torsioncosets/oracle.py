@@ -23,7 +23,7 @@ denominators.  Then
 
     D * f(zeta_m^k) = sum_e D*c_e * zeta_B^(r_e * B/m),  r_e = e.k mod m,
 
-so the value at k depends on k only through the absolute residues r_e.
+so the value at k depends on k only through the residues r_e.
 The row of a term e and a residue r holds the power-basis coordinates of
 D*c_e*zeta_B^(r*B/m), reduced modulo Phi_B; since Phi_B is monic they
 are integers.  A row is built the first time its (term, residue) pair
