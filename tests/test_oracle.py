@@ -55,7 +55,7 @@ def _grid_points(system, max_order):
 
 
 class _ReferenceCompiledPoly:
-    # the former kernel: one accumulator of length big = lcm(N_f, m) per
+    # reference kernel: one accumulator of length big = lcm(N_f, m) per
     # test, reduced modulo Phi_big on every call
     __slots__ = ("big", "phi", "rows", "level")
 
@@ -329,7 +329,7 @@ def test_cross_check_counts_one_test_per_orbit(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the residue-row kernel against the former accumulator kernel
+# the residue-row kernel against the accumulator kernel
 
 
 def _coefficient_with_denominator(rng, level):
