@@ -41,16 +41,8 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("totient needs a positive integer")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
+    for p in _prime_factors(n):
+        result -= result // p
     return result
 
 
@@ -106,39 +98,43 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 class _Level:
-    """Per-level reduction data: phi(N), Phi_N and cached powers of zeta
-    reduced modulo Phi_N (integer vectors, since Phi_N is monic)."""
+    """Per-level reduction data: phi(N), Phi_N and the powers zeta^k,
+    k >= phi(N), reduced modulo Phi_N (integer vectors, since Phi_N is
+    monic)."""
 
-    __slots__ = ("n", "phi", "cyclo", "powers", "lock")
+    __slots__ = ("n", "phi", "cyclo", "high", "lock")
 
     def __init__(self, n: int):
         self.n = n
         self.phi = euler_phi(n)
         self.cyclo = cyclotomic_polynomial(n)
-        self.powers = []
+        self.high = []  # high[j] = zeta^(phi + j) mod Phi_N
         self.lock = threading.Lock()
 
     def power(self, k: int) -> tuple[int, ...]:
-        # coordinates of zeta^k mod Phi_N; extends the table as needed,
-        # so a level costs nothing beyond the powers asked for
+        # coordinates of zeta^k mod Phi_N.  Below phi it is a basis
+        # vector, made fresh and not stored; from phi on the table is
+        # extended as far as asked
         k %= self.n
-        if k < len(self.powers):
-            return self.powers[k]
+        phi = self.phi
+        if k < phi:
+            vec = [0] * phi
+            vec[k] = 1
+            return tuple(vec)
+        j = k - phi
+        high = self.high
+        if j < len(high):
+            return high[j]
         with self.lock:
-            while len(self.powers) <= k:
-                j = len(self.powers)
-                if j < self.phi:
-                    vec = [0] * self.phi
-                    vec[j] = 1
-                else:
-                    vec = [0] + list(self.powers[j - 1])
-                    top = vec.pop()
-                    if top:
-                        # x^phi = -(lower part of Phi_N)
-                        for i in range(self.phi):
-                            vec[i] -= top * self.cyclo[i]
-                self.powers.append(tuple(vec))
-            return self.powers[k]
+            while len(high) <= j:
+                # shift the previous power up; x^phi = -(lower part of Phi_N)
+                vec = [0] + list(high[-1]) if high else [0] * phi + [1]
+                top = vec.pop()
+                if top:
+                    for i in range(phi):
+                        vec[i] -= top * self.cyclo[i]
+                high.append(tuple(vec))
+            return high[j]
 
 
 _LEVELS: dict[int, _Level] = {}

@@ -113,15 +113,9 @@ class _CompiledPoly:
         base = r * self.unit
         row = [0] * level.phi
         for p, c in coeff_positions:
-            q = (base + p) % level.n
-            if q < level.phi:
-                # zeta^q is a basis vector: asking power() for it would
-                # fill the level's shared table with unit vectors up to q
-                row[q] += c
-            else:
-                for i, x in enumerate(level.power(q)):
-                    if x:
-                        row[i] += c * x
+            for i, x in enumerate(level.power(base + p)):
+                if x:
+                    row[i] += c * x
         return row
 
     def vanishes(self, k, m: int) -> bool:
