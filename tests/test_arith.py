@@ -9,6 +9,7 @@ from torsioncosets.arith import (
     RootOfUnity,
     TorsionPoint,
     conjugate_exponent,
+    _Level,
     _poly_div_exact_int,
     cyclotomic_polynomial,
     euler_phi,
@@ -49,6 +50,37 @@ def test_cyclotomic_polynomials_match_divisor_recursion():
     for n in range(1, 401):
         assert cyclotomic_polynomial(n) == \
             _reference_cyclotomic_polynomial(n), n
+        assert len(cyclotomic_polynomial(n)) == euler_phi(n) + 1, n
+
+
+def _reference_power(n, k):
+    # x^k mod Phi_n by long division (Phi_n is monic)
+    cyclo = cyclotomic_polynomial(n)
+    phi = len(cyclo) - 1
+    rem = [0] * k + [1]
+    for top in range(k, phi - 1, -1):
+        c = rem[top]
+        if c:
+            for i, d in enumerate(cyclo):
+                rem[top - phi + i] -= c * d
+    return tuple((rem + [0] * phi)[:phi])
+
+
+def test_level_powers_store_only_powers_from_phi_on():
+    for n in (1, 2, 3, 4, 12, 15, 30, 36, 105):
+        lv = _Level(n)
+        # basis powers are made fresh, the table stays empty
+        for k in range(lv.phi):
+            assert lv.power(k) == _reference_power(n, k)
+        assert lv.high == []
+        for k in range(2 * n + 1):
+            assert lv.power(k) == _reference_power(n, k % n), (n, k)
+        assert len(lv.high) == n - lv.phi
+        if lv.phi + 2 < n:
+            fresh = _Level(n)
+            # a negative exponent, reduced mod n to phi + 2
+            assert fresh.power(lv.phi + 2 - n) == lv.power(lv.phi + 2)
+            assert len(fresh.high) == 3
 
 
 def test_basic_identities():
