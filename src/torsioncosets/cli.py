@@ -465,7 +465,12 @@ def _cmd_cyclo(args) -> int:
     doc = parse_system(_read_input(args.input))
     if doc.nvars != 1:
         raise ParseError("cyclo needs a univariate input", 1, 1)
-    roots, part = cyclotomic_roots(doc.polynomials[0])
+    roots = cyclotomic_roots(doc.polynomials[0])
+    # the cyclotomic part prod (X - w)
+    part = LaurentPolynomial.constant(1, 1)
+    x = LaurentPolynomial.variable(1, 0)
+    for w in roots:
+        part = part * (x - w.to_cyclotomic())
     if args.format == "json":
         payload = {
             "roots": [[str(w.exponent.numerator), str(w.exponent.denominator)]

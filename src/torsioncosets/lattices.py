@@ -289,13 +289,6 @@ class IntegerLattice:
         kernel = t[len(h):]
         return IntegerLattice(n, kernel)
 
-    def gram_determinant(self) -> int:
-        """det(B * B^T) for the HNF basis B; the squared lattice
-        determinant."""
-        g = [[sum(x * y for x, y in zip(r1, r2)) for r2 in self.rows]
-             for r1 in self.rows]
-        return determinant(g)
-
     def __eq__(self, other):
         if isinstance(other, IntegerLattice):
             return self.ambient == other.ambient and self.rows == other.rows
@@ -306,19 +299,6 @@ class IntegerLattice:
 
     def __repr__(self):
         return f"IntegerLattice({self.ambient}, {list(map(list, self.rows))})"
-
-
-def saturation(rows, ambient: int | None = None) -> IntegerLattice:
-    """Smallest primitive lattice containing the row span."""
-    if ambient is None:
-        ambient = len(rows[0])
-    return IntegerLattice(ambient, rows).saturation()
-
-
-def orthogonal_complement(rows, ambient: int | None = None) -> IntegerLattice:
-    if ambient is None:
-        ambient = len(rows[0])
-    return IntegerLattice(ambient, rows).orthogonal_complement()
 
 
 def is_primitive_vector(a) -> bool:

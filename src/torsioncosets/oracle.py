@@ -46,7 +46,7 @@ from itertools import product
 from math import gcd, lcm
 from operator import mul
 
-from .arith import TorsionPoint, _level
+from .arith import TorsionPoint, _level, _prime_factors, euler_phi
 
 
 class BudgetExceededError(RuntimeError):
@@ -133,15 +133,8 @@ def _jordan_totient(n: int, m: int) -> int:
     # J_n(m) = m^n prod_{p | m} (1 - p^-n), the number of points of
     # exact order m in (Z/m)^n
     out = m ** n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out = out // p ** n * (p ** n - 1)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out = out // m ** n * (m ** n - 1)
+    for p in _prime_factors(m):
+        out = out // p ** n * (p ** n - 1)
     return out
 
 
@@ -250,8 +243,8 @@ def cross_check(solve_report, system, max_order: int,
               if not any(c.contains_point(p) for c in cosets)]
     spurious = [c for c in cosets if not c.lies_on(system)]
     # H_m acts freely, so the J_n(m) points of exact order m fall into
-    # J_n(m)/|H_m| orbits, each tested once
+    # J_n(m)/|H_m| orbits, each tested once; |H_m| = phi(m)/phi(gcd(m, N))
     n, level = system[0].nvars, _system_level(system)
-    tested = sum(_jordan_totient(n, m) // len(_units(m, gcd(m, level)))
-                 for m in range(1, max_order + 1))
+    tested = sum(_jordan_totient(n, m) * euler_phi(gcd(m, level))
+                 // euler_phi(m) for m in range(1, max_order + 1))
     return OracleReport(points, missed, spurious, max_order, tested)

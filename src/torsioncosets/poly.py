@@ -6,12 +6,16 @@ structural operations the torsion-coset machinery needs: support and
 exponent-lattice extraction, images under monoidal (unimodular)
 coordinate changes, coset slices, torsion specialization, multi-prime
 modular Sylvester resultants, multivariate gcd, and exact root-of-unity
-root finding for univariate inputs.  The univariate layer works modulo
-one prime p = 1 (mod M) first: zeta_M -> w, a root of Phi_M mod p, is a
-ring map Z[zeta_M] -> F_p, so a nonzero residue proves a candidate root
-is none.  Only a zero residue goes on to exact arithmetic.  Root finding
-needs no squarefree part; squarefree_part, which proves squarefreeness
-the same way by a nonzero discriminant, has no caller in the solver.
+root finding for univariate inputs.  LaurentPolynomial.evaluate is the
+one exact evaluation at a torsion point: one integer accumulator at
+level lcm(N, m), reduced modulo Phi_lcm(N, m) once; vanishes_at is its
+zero test.  The univariate layer works modulo one prime p = 1 (mod M)
+first: zeta_M -> w, a root of Phi_M mod p, is a ring map Z[zeta_M] ->
+F_p, so a nonzero residue proves a candidate root is none.  Only a zero
+residue goes on to vanishes_at.  cyclotomic_roots returns the roots
+alone; it builds no cyclotomic part.  Root finding needs no squarefree
+part; squarefree_part, which proves squarefreeness the same way by a
+nonzero discriminant, has no caller in the solver.
 Univariate polynomials have no representation of their own: every gcd,
 univariate or not, is the one multivariate_gcd recursion, which works
 over the coefficient field once the coefficients are constants.
@@ -328,27 +332,41 @@ class LaurentPolynomial:
         return LaurentPolynomial(self.nvars + 1, out)
 
     def evaluate(self, point: TorsionPoint) -> CyclotomicNumber:
-        """Exact value at a torsion point."""
-        total = CyclotomicNumber.zero()
+        """Exact value at a torsion point, at level big = lcm(N, m): N
+        the coefficient level, m the order of the point.  With D the lcm
+        of the coefficient denominators, each term adds the integer
+        coordinates of D times its coefficient at the zeta_big exponent
+        of its monomial value; the sum is reduced modulo Phi_big once."""
+        if len(point) != self.nvars:
+            raise ValueError("point length does not match nvars")
+        level, den = 1, 1
+        for c in self.terms.values():
+            level, den = lcm(level, c.level), lcm(den, c.den)
+        big = lcm(level, point.order)
+        acc = [0] * big
+        exps = point.exponents()
         for e, c in self.terms.items():
-            total = total + c * point.power(e).to_cyclotomic()
-        return total
+            # zeta_big exponent of the monomial value at the point
+            frac = Fraction(0)
+            for x, q in zip(e, exps):
+                if x:
+                    frac += x * q
+            pos0 = int(frac * big)
+            step, mult = big // c.level, den // c.den
+            for k, x in enumerate(c.num):
+                if x:
+                    acc[(pos0 + k * step) % big] += x * mult
+        lv = _level(big)
+        red = acc[:lv.phi]
+        for p in range(lv.phi, big):
+            if acc[p]:
+                for i, x in enumerate(lv.power(p)):
+                    if x:
+                        red[i] += acc[p] * x
+        return CyclotomicNumber(big, red, den)
 
     def vanishes_at(self, point: TorsionPoint) -> bool:
-        if not self.terms:
-            return True
-        return _vanishes_at_root_terms(self._eval_data(), point)
-
-    def _eval_data(self):
-        # precomputed (exponent, level, numerator vector, scaled) rows
-        # with denominators cleared; vanishing is denominator-free
-        den = 1
-        for c in self.terms.values():
-            den = lcm(den, c.den)
-        rows = []
-        for e, c in self.terms.items():
-            rows.append((e, c.level, c.num, den // c.den))
-        return rows
+        return self.evaluate(point).is_zero()
 
     # ---- coefficient views ----------------------------------------------
 
@@ -408,49 +426,6 @@ def support_and_lattice(f: LaurentPolynomial):
     if f.is_zero():
         raise ValueError("zero polynomial has no support lattice")
     return f.support(), f.exponent_lattice()
-
-
-# ---------------------------------------------------------------------------
-# fast vanishing test at torsion points
-
-
-def _vanishes_at_root_terms(rows, point: TorsionPoint) -> bool:
-    level = 1
-    m = 1
-    for c in point:
-        m = lcm(m, c.order)
-    for _, lev, _, _ in rows:
-        level = lcm(level, lev)
-    big = lcm(level, m)
-    acc = [0] * big
-    exps = point.exponents()
-    for e, lev, num, mult in rows:
-        # zeta_big exponent of the monomial value at the point
-        frac = Fraction(0)
-        for x, q in zip(e, exps):
-            if x:
-                frac += x * q
-        pos0 = int(frac * big) % big
-        step = big // lev
-        for k, c in enumerate(num):
-            if c:
-                p = (pos0 + k * step) % big
-                acc[p] += c * mult
-    if not any(acc):
-        return True
-    lv = _level(big)
-    phi = lv.phi
-    red = [0] * phi
-    for p, c in enumerate(acc):
-        if c:
-            if p < phi:
-                red[p] += c
-            else:
-                pw = lv.power(p)
-                for i, x in enumerate(pw):
-                    if x:
-                        red[i] += c * x
-    return not any(red)
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +534,9 @@ def _unit_orbits(d: int, big: int, level: int):
     return orbits
 
 
-def cyclotomic_roots(g: LaurentPolynomial):
-    """All roots of unity w with g(w) = 0 (each once, sorted by
-    exponent), together with the cyclotomic part prod (X - w).
+def cyclotomic_roots(g: LaurentPolynomial) -> list[RootOfUnity]:
+    """All roots of unity w with g(w) = 0, each once, sorted by
+    exponent.
 
     Enumerates candidate orders d with phi(lcm(d, N)) <= deg * phi(N)
     (N the coefficient level) over h, g with its monomial content
@@ -571,18 +546,18 @@ def cyclotomic_roots(g: LaurentPolynomial):
     part, never wrong.  With (p, w) = _kernel_prime(M), M = lcm(d, N),
     zeta_M -> w is a ring map Z[zeta_M] -> F_p, so a nonzero residue of
     the cleared h(zeta_d^a) proves it nonzero, with no bound; only a zero
-    residue goes on to the exact vanishing test."""
+    residue goes on to the exact test, hpoly.vanishes_at."""
     if g.is_zero():
         raise ValueError("zero polynomial has no cyclotomic part")
     if g.nvars != 1:
         raise ValueError("univariate polynomial expected")
     if len(g.terms) == 1:
-        return [], LaurentPolynomial.constant(1, 1)
+        return []
     hpoly, _ = g.strip_monomial_content()
     level = hpoly.coefficient_level()
     deg = hpoly.degree_in(0)
     phi_n = euler_phi(level)
-    rows = hpoly._eval_data()
+    den = lcm(*(c.den for c in hpoly.terms.values()))
     roots: list[RootOfUnity] = []
     found_degree = 0
     for d in _orders_with_phi_at_most(deg * phi_n):
@@ -594,25 +569,21 @@ def cyclotomic_roots(g: LaurentPolynomial):
             continue
         p, w = _kernel_prime(big)
         imgs = [0] * (deg + 1)
-        for (e,), lev, num, mult in rows:
-            imgs[e] = mult * _eval_mod(num, pow(w, big // lev, p), p)
+        for (e,), c in hpoly.terms.items():
+            imgs[e] = (den // c.den
+                       * _eval_mod(c.num, pow(w, big // c.level, p), p))
         wd = pow(w, big // d, p)
         for orbit in _unit_orbits(d, big, level):
             if _eval_mod(imgs, pow(wd, orbit[0], p), p):
                 continue
-            point = TorsionPoint([Fraction(orbit[0], d)])
-            if _vanishes_at_root_terms(rows, point):
+            if hpoly.vanishes_at(TorsionPoint([Fraction(orbit[0], d)])):
                 for a in orbit:
                     roots.append(RootOfUnity(Fraction(a, d)))
                 found_degree += len(orbit)
                 if found_degree >= deg:
                     break
     roots.sort()
-    part = LaurentPolynomial.constant(1, 1)
-    x = LaurentPolynomial.variable(1, 0)
-    for w in roots:
-        part = part * (x - LaurentPolynomial.constant(1, w.to_cyclotomic()))
-    return roots, part
+    return roots
 
 
 # ---------------------------------------------------------------------------

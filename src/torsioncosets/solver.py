@@ -155,7 +155,7 @@ def binomial_cosets(f: LaurentPolynomial):
                 profiles.setdefault(e, {})[(k,)] = c
         profile_key = min(profiles, key=lambda e: (len(profiles[e]), e))
         probe = LaurentPolynomial(1, profiles[profile_key])
-        roots, _ = cyclotomic_roots(probe)
+        roots = cyclotomic_roots(probe)
         changed = False
         for w in roots:
             if not work_u.substitute_root(0, w).is_zero():
@@ -383,7 +383,7 @@ def _solve_hypersurface(f: LaurentPolynomial, stats: SolveStats,
     if work.is_unit():
         return []
     if n == 1:
-        roots, _ = cyclotomic_roots(work)
+        roots = cyclotomic_roots(work)
         # filtered like every other return, so the public order is the
         # sort_key order and the entry points need no second pass
         return maximal_filter(TorsionCoset.from_point(TorsionPoint([w]))
@@ -482,7 +482,7 @@ def _fiber_points(f: LaurentPolynomial, zeta: TorsionPoint, var: int):
             rows.append(row)
         return [TorsionCoset(point, IntegerLattice(n, rows))]
     out = []
-    roots, _ = cyclotomic_roots(h)
+    roots = cyclotomic_roots(h)
     for w in roots:
         point = TorsionPoint(list(zeta) + [w])
         out.append(TorsionCoset.from_point(point))

@@ -211,6 +211,33 @@ def test_cli_cyclo(capsys, tmp_path):
     assert data["roots"] == [["1", "3"], ["2", "3"]]
 
 
+_X = L.variable(1, 0)
+_ONE = L.constant(1, 1)
+
+
+@pytest.mark.parametrize("poly, part", [
+    ("x^2 + x + 1", _X * _X + _X + _ONE),  # its own cyclotomic part
+    ("x^2 - 2", _ONE),
+    ("x^2 + 1", _X * _X + _ONE),
+    ("(x - 1)^2*(x + 1)*(x^2 - 2)", (_X - _ONE) * (_X + _ONE)),
+])
+def test_cli_cyclo_part(capsys, tmp_path, poly, part):
+    # cyclo builds the cyclotomic part prod (X - w) over the roots
+    path = tmp_path / "poly.txt"
+    path.write_text(f"vars: x\npoly: {poly}\n")
+    assert run(["cyclo", "--input", str(path), "--format", "json"]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    assert data["cyclotomicPart"] == repr(part)
+    assert data["cyclotomicPartDegree"] == part.total_degree() == len(
+        data["roots"])
+    assert run(["cyclo", "--input", str(path)]) == EXIT_OK
+    text = capsys.readouterr().out
+    if data["roots"]:
+        assert f"cyclotomic part: {part!r}\n" in text
+    else:
+        assert text == "no roots of unity\n"
+
+
 def test_cli_text_json_same_cosets(capsys, tmp_path):
     path = tmp_path / "system.txt"
     path.write_text("field: 4\npoly: x*y - z\npoly: x - y\n")

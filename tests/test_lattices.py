@@ -16,8 +16,6 @@ from torsioncosets.lattices import (
     mat_inverse_unimodular,
     mat_mul,
     min_assignment,
-    orthogonal_complement,
-    saturation,
     smith_normal_form,
     xgcd,
 )
@@ -283,8 +281,9 @@ def test_rescale_index_is_lattice_determinant():
 
 
 def test_saturation_examples():
-    assert saturation([[2, 2]]).rows == ((1, 1),)
-    assert saturation([[2, 0], [0, 2]]) == IntegerLattice.full(2)
+    assert IntegerLattice(2, [[2, 2]]).saturation().rows == ((1, 1),)
+    assert (IntegerLattice(2, [[2, 0], [0, 2]]).saturation()
+            == IntegerLattice.full(2))
     prim = IntegerLattice(2, [[1, 1]])
     assert prim.saturation() == prim
 
@@ -295,16 +294,16 @@ def test_saturation_idempotent_random():
         n = rng.randint(1, 4)
         k = rng.randint(1, n)
         a = random_matrix(rng, k, n, -6, 6)
-        s = saturation(a, n)
+        s = IntegerLattice(n, a).saturation()
         assert s.saturation() == s
         assert s.contains_lattice(IntegerLattice(n, a))
 
 
 def test_orthogonal_complement_examples():
-    g = orthogonal_complement([[1, 1]])
+    g = IntegerLattice(2, [[1, 1]]).orthogonal_complement()
     assert g.rows == ((1, -1),)
-    assert orthogonal_complement(identity_matrix(2)).rows == ()
-    g3 = orthogonal_complement([[1, 0, 0]], 3)
+    assert IntegerLattice.full(2).orthogonal_complement().rows == ()
+    g3 = IntegerLattice(3, [[1, 0, 0]]).orthogonal_complement()
     assert g3 == IntegerLattice(3, [[0, 1, 0], [0, 0, 1]])
 
 
@@ -323,6 +322,12 @@ def test_double_complement_is_saturation():
                 assert sum(x * y for x, y in zip(r, c)) == 0
 
 
+def _gram_determinant(lat):
+    # det(B * B^T) for the HNF basis B: the squared lattice determinant
+    return determinant([[sum(x * y for x, y in zip(r1, r2)) for r2 in lat.rows]
+                        for r1 in lat.rows])
+
+
 def test_gram_det_matches_complement():
     # det(A) = det(complement) for primitive A, via Gram determinants
     rng = random.Random(12)
@@ -330,12 +335,12 @@ def test_gram_det_matches_complement():
     while done < 60:
         n = rng.randint(2, 4)
         k = rng.randint(1, n - 1)
-        lat = saturation(random_matrix(rng, k, n, -4, 4), n)
+        lat = IntegerLattice(n, random_matrix(rng, k, n, -4, 4)).saturation()
         if lat.rank != k:
             continue
         done += 1
         comp = lat.orthogonal_complement()
-        assert lat.gram_determinant() == comp.gram_determinant()
+        assert _gram_determinant(lat) == _gram_determinant(comp)
 
 
 def test_extend_to_basis():

@@ -8,6 +8,7 @@ from torsioncosets.arith import (
     CyclotomicNumber,
     RootOfUnity,
     TorsionPoint,
+    _level,
     cyclotomic_polynomial,
     euler_phi,
 )
@@ -213,6 +214,70 @@ def _resultant_bareiss(f, g, var):
 
 
 # ---------------------------------------------------------------------------
+# the former exact evaluators at a torsion point, kept as references:
+# field arithmetic term by term, and the accumulator kernel over
+# denominator-cleared rows
+
+
+def _reference_evaluate(f, point):
+    total = CyclotomicNumber.zero()
+    for e, c in f.terms.items():
+        total = total + c * point.power(e).to_cyclotomic()
+    return total
+
+
+def _reference_eval_data(f):
+    # precomputed (exponent, level, numerator vector, scaled) rows
+    # with denominators cleared; vanishing is denominator-free
+    den = 1
+    for c in f.terms.values():
+        den = lcm(den, c.den)
+    rows = []
+    for e, c in f.terms.items():
+        rows.append((e, c.level, c.num, den // c.den))
+    return rows
+
+
+def _reference_vanishes_at_root_terms(rows, point: TorsionPoint) -> bool:
+    level = 1
+    m = 1
+    for c in point:
+        m = lcm(m, c.order)
+    for _, lev, _, _ in rows:
+        level = lcm(level, lev)
+    big = lcm(level, m)
+    acc = [0] * big
+    exps = point.exponents()
+    for e, lev, num, mult in rows:
+        # zeta_big exponent of the monomial value at the point
+        frac = Fraction(0)
+        for x, q in zip(e, exps):
+            if x:
+                frac += x * q
+        pos0 = int(frac * big) % big
+        step = big // lev
+        for k, c in enumerate(num):
+            if c:
+                p = (pos0 + k * step) % big
+                acc[p] += c * mult
+    if not any(acc):
+        return True
+    lv = _level(big)
+    phi = lv.phi
+    red = [0] * phi
+    for p, c in enumerate(acc):
+        if c:
+            if p < phi:
+                red[p] += c
+            else:
+                pw = lv.power(p)
+                for i, x in enumerate(pw):
+                    if x:
+                        red[i] += c * x
+    return not any(red)
+
+
+# ---------------------------------------------------------------------------
 # differential oracles for the univariate layer: exact arithmetic only,
 # no residue modulo a prime
 
@@ -265,14 +330,14 @@ def _rational_prefilter(a):
 def _cyclotomic_roots_exact(g):
     # the root finder with every candidate orbit tested exactly
     if len(g.terms) == 1:
-        return [], L.constant(1, 1)
+        return []
     h = _to_dense(_squarefree_exact(g))
     level = lcm(*(c.level for c in h))
     if level == 1:
         h = _rational_prefilter(h)
         if len(h) <= 1:
-            return [], L.constant(1, 1)
-    rows = _from_dense(h)._eval_data()
+            return []
+    rows = _reference_eval_data(_from_dense(h))
     deg, phi_n = len(h) - 1, euler_phi(level)
     roots, found_degree = [], 0
     for d in poly._orders_with_phi_at_most(deg * phi_n):
@@ -280,15 +345,11 @@ def _cyclotomic_roots_exact(g):
         if found_degree >= deg or found_degree + euler_phi(big) // phi_n > deg:
             continue
         for orbit in poly._unit_orbits(d, big, level):
-            if poly._vanishes_at_root_terms(
+            if _reference_vanishes_at_root_terms(
                     rows, TorsionPoint([Fraction(orbit[0], d)])):
                 roots += [RootOfUnity(Fraction(a, d)) for a in orbit]
                 found_degree += len(orbit)
-    roots.sort()
-    part = L.constant(1, 1)
-    for w in roots:
-        part = part * L(1, {(1,): 1, (0,): -w.to_cyclotomic()})
-    return roots, part
+    return sorted(roots)
 
 
 def poly2(spec):
@@ -480,33 +541,28 @@ def test_resultant_vanishes_at_projected_common_zero():
 
 def test_cyclotomic_roots_examples():
     f = L(1, {(2,): 1, (1,): 1, (0,): 1})
-    roots, part = cyclotomic_roots(f)
+    roots = cyclotomic_roots(f)
     assert [r.exponent for r in roots] == [Fraction(1, 3), Fraction(2, 3)]
-    assert part == f  # x^2 + x + 1 is its own cyclotomic part
 
-    roots, part = cyclotomic_roots(L(1, {(2,): 1, (0,): -2}))
-    assert roots == []
-    assert part == L.constant(1, 1)
+    assert cyclotomic_roots(L(1, {(2,): 1, (0,): -2})) == []
 
     z4 = CyclotomicNumber.zeta(4)
-    roots, _ = cyclotomic_roots(L(1, {(1,): 1, (0,): -z4}))
+    roots = cyclotomic_roots(L(1, {(1,): 1, (0,): -z4}))
     assert [r.exponent for r in roots] == [Fraction(1, 4)]
 
 
 def test_cyclotomic_roots_order_4k():
     # primitive 4th roots are kept (the gcd prefilter must not drop them)
-    roots, part = cyclotomic_roots(L(1, {(2,): 1, (0,): 1}))
+    roots = cyclotomic_roots(L(1, {(2,): 1, (0,): 1}))
     assert [r.exponent for r in roots] == [Fraction(1, 4), Fraction(3, 4)]
-    assert part == L(1, {(2,): 1, (0,): 1})
 
 
 def test_cyclotomic_roots_with_multiplicity_and_junk():
     x = L.variable(1, 0)
     one = L.constant(1, 1)
     f = (x - one) * (x - one) * (x + one) * (x * x - 2 * one)
-    roots, part = cyclotomic_roots(f)
+    roots = cyclotomic_roots(f)
     assert [r.exponent for r in roots] == [Fraction(0), Fraction(1, 2)]
-    assert part == (x - one) * (x + one)
 
 
 def test_cyclotomic_roots_brute_force_agreement():
@@ -518,7 +574,7 @@ def test_cyclotomic_roots_brute_force_agreement():
         dense_deg = f.degree_in(0)
         if dense_deg == 0:
             continue
-        roots, _ = cyclotomic_roots(f)
+        roots = cyclotomic_roots(f)
         found = {r.exponent for r in roots}
         # brute force over all orders up to 2*(deg*phi(level))^2
         from torsioncosets.arith import euler_phi
@@ -602,6 +658,67 @@ def test_evaluate_and_vanishes_consistency():
         pt = TorsionPoint([Fraction(rng.randint(0, 11), 12),
                            Fraction(rng.randint(0, 7), 8)])
         assert f.vanishes_at(pt) == f.evaluate(pt).is_zero()
+
+
+def _evaluation_coefficient(rng, level):
+    # +-zeta_d^j for a d dividing the level, or a random nonzero element
+    # of Q(zeta_level), divided by a small integer 40% of the time
+    c = CyclotomicNumber.zero()
+    if rng.random() < 0.7:
+        d = rng.choice([d for d in range(1, level + 1) if level % d == 0])
+        c = CyclotomicNumber.zeta(d, rng.randrange(d)) * rng.choice((1, -1))
+    while c.is_zero():
+        c = CyclotomicNumber(level, [rng.randint(-2, 2)
+                                     for _ in range(euler_phi(level))])
+    if rng.random() < 0.4:
+        c = c * Fraction(1, rng.randint(2, 6))
+    return c
+
+
+def _random_point(rng, n, m):
+    return TorsionPoint([Fraction(rng.randrange(m), m) for _ in range(n)])
+
+
+def test_evaluate_matches_reference_evaluators():
+    # evaluate against the former field-arithmetic evaluate in value, at
+    # level lcm(N, m), and vanishes_at against the former accumulator
+    # kernel; every draw with a planted factor X^e - w(e) vanishes at w
+    rng = random.Random(15)
+    orders = list(range(1, 31))
+    zeros = compared = 0
+    for n in (1, 2, 3):
+        for level in (1, 3, 4, 8, 12, 24):
+            for draw in range(12):
+                if draw == 0:
+                    f = L(n, {})
+                elif draw == 1:
+                    f = L.constant(n, _evaluation_coefficient(rng, level))
+                else:
+                    f = L(n, {tuple(rng.randint(-3, 3) for _ in range(n)):
+                              _evaluation_coefficient(rng, level)
+                              for _ in range(rng.randint(1, 4))})
+                points = [_random_point(rng, n, rng.choice(orders))
+                          for _ in range(3)]
+                e = tuple(rng.randint(-2, 2) for _ in range(n))
+                if draw > 1 and draw % 2 and any(e):
+                    w = points[0].power(e).to_cyclotomic()
+                    f = f * L(n, {e: 1, (0,) * n: -w})
+                    assert f.vanishes_at(points[0])
+                for point in points:
+                    value = f.evaluate(point)
+                    assert value == _reference_evaluate(f, point)
+                    assert value.level == lcm(f.coefficient_level(),
+                                              point.order)
+                    verdict = _reference_vanishes_at_root_terms(
+                        _reference_eval_data(f), point)
+                    assert f.vanishes_at(point) == verdict == value.is_zero()
+                    if draw == 0:
+                        assert verdict
+                    elif draw == 1:
+                        assert not verdict
+                    zeros += verdict
+                    compared += 1
+    assert compared > 3 * zeros > 150
 
 
 def test_resultant_trivariate_matches_bareiss():
@@ -916,15 +1033,15 @@ def test_cyclotomic_roots_differential_sweep(monkeypatch):
 def test_exact_tests_only_for_root_orbits(monkeypatch):
     # a candidate orbit reaches the exact vanishing test only when its
     # residue is zero; here that happens only at the roots
-    exact = poly._vanishes_at_root_terms
+    exact = L.vanishes_at
     calls = []
-    monkeypatch.setattr(poly, "_vanishes_at_root_terms",
-                        lambda rows, point: calls.append(point) or exact(rows, point))
+    monkeypatch.setattr(L, "vanishes_at",
+                        lambda f, point: calls.append(point) or exact(f, point))
     x = L.variable(1, 0)
     f = (x ** 12 - 1) * (x ** 3 - 2 * x + 5)
     for scale, level, orbits in ((1, 1, 6), (CyclotomicNumber.zeta(4), 4, 8)):
         calls.clear()
-        roots, _ = cyclotomic_roots(f * scale)
+        roots = cyclotomic_roots(f * scale)
         assert f.scale(scale).coefficient_level() == level
         assert [r.exponent for r in roots] == [Fraction(k, 12) for k in range(12)]
         assert len(calls) == orbits

@@ -96,7 +96,7 @@ def test_reduce_rank_deficient_examples():
     # t^2 + t + 1 up to normalization
     assert fstar == L(1, {(2,): 1, (1,): 1, (0,): 1})
     from torsioncosets.poly import cyclotomic_roots
-    roots, _ = cyclotomic_roots(fstar)
+    roots = cyclotomic_roots(fstar)
     base = [TorsionCoset.from_point(TorsionPoint([w.exponent]))
             for w in roots]
     lifted = lift(base)
@@ -113,7 +113,7 @@ def test_reduce_rank_deficient_line():
     fstar, lift = reduce_rank_deficient(f)
     assert fstar.nvars == 1
     from torsioncosets.poly import cyclotomic_roots
-    roots, _ = cyclotomic_roots(fstar)
+    roots = cyclotomic_roots(fstar)
     lifted = lift([TorsionCoset.from_point(TorsionPoint([w.exponent]))
                    for w in roots])
     assert len(lifted) == 1
