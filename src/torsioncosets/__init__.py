@@ -27,7 +27,6 @@ from .poly import (
     cyclotomic_roots,
     multivariate_gcd,
     resultant,
-    support_and_lattice,
 )
 from .solver import (
     SolveReport,
@@ -69,7 +68,6 @@ __all__ = [
     "resultant",
     "smith_normal_form",
     "solve_exponent_congruences",
-    "support_and_lattice",
     "variety_cosets",
 ]
 

@@ -13,6 +13,7 @@ have no runtime representation.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from math import comb, factorial
 
@@ -165,9 +166,7 @@ def slice_degree_bound(n: int, d: int) -> int:
 # recurrences
 
 
-_T_TOTAL_CACHE: dict = {}
-
-
+@cache
 def torsion_count_bound(n: int, d: int) -> int:
     """The total-count recurrence T(n, d) <= (2nd)^(n+1)
     T(n-1, n^(8+4n) d^2) T(n-1, n^(8+4n) d^3), grounded at
@@ -178,20 +177,13 @@ def torsion_count_bound(n: int, d: int) -> int:
         return d
     if n == 2:
         return plane_curve_bound(d)
-    key = (n, d)
-    if key in _T_TOTAL_CACHE:
-        return _T_TOTAL_CACHE[key]
     m = n ** (8 + 4 * n)
-    value = ((2 * n * d) ** (n + 1)
-             * torsion_count_bound(n - 1, m * d * d)
-             * torsion_count_bound(n - 1, m * d ** 3))
-    _T_TOTAL_CACHE[key] = value
-    return value
+    return ((2 * n * d) ** (n + 1)
+            * torsion_count_bound(n - 1, m * d * d)
+            * torsion_count_bound(n - 1, m * d ** 3))
 
 
-_T_DIM_CACHE: dict = {}
-
-
+@cache
 def torsion_counts_by_dimension(n: int, d: int) -> dict[int, Fraction]:
     """Per-dimension count bounds T_i(n, d) following the dimension-wise
     recurrences (with the plane-curve base 11 d^2 isolated points and d
@@ -202,9 +194,6 @@ def torsion_counts_by_dimension(n: int, d: int) -> dict[int, Fraction]:
         return {0: d}
     if n == 2:
         return {0: 11 * d * d, 1: d}
-    key = (n, d)
-    if key in _T_DIM_CACHE:
-        return _T_DIM_CACHE[key]
     dd = 2 * d * d
     cs = slice_degree_bound(n, d)
     sub_slice = torsion_counts_by_dimension(n - 1, cs)
@@ -223,7 +212,6 @@ def torsion_counts_by_dimension(n: int, d: int) -> dict[int, Fraction]:
         tail = sum(t(sub_res, s) for s in range(i - 1, n - 1))
         out[i] = m * t(sub_slice, i) * tail
     out[n - 1] = 1
-    _T_DIM_CACHE[key] = out
     return out
 
 

@@ -136,14 +136,12 @@ class TorsionCoset:
 
     def lies_on(self, polys) -> bool:
         """Exact membership of the whole coset in the variety of the
-        polynomials: every coset slice of every polynomial must vanish
-        at the representative point."""
+        polynomials: the terms of f with equal e * G^T, for the rows of
+        G = exponent_matrix(), form a coset slice, and every slice value
+        f.slice_values(point, G) of every polynomial must be zero."""
         g = self.exponent_matrix()
-        for f in polys:
-            for piece in f.coset_slices(g).values():
-                if not piece.vanishes_at(self.point):
-                    return False
-        return True
+        return all(value.is_zero() for f in polys
+                   for value in f.slice_values(self.point, g).values())
 
     def __eq__(self, other):
         if isinstance(other, TorsionCoset):

@@ -4,18 +4,22 @@ Polynomials are finitely supported maps from integer exponent vectors to
 nonzero CyclotomicNumber coefficients.  The module provides the
 structural operations the torsion-coset machinery needs: support and
 exponent-lattice extraction, images under monoidal (unimodular)
-coordinate changes, coset slices, torsion specialization, multi-prime
-modular Sylvester resultants, multivariate gcd, and exact root-of-unity
-root finding for univariate inputs.  LaurentPolynomial.evaluate is the
-one exact evaluation at a torsion point: one integer accumulator at
-level lcm(N, m), reduced modulo Phi_lcm(N, m) once; vanishes_at is its
-zero test.  The univariate layer works modulo one prime p = 1 (mod M)
-first: zeta_M -> w, a root of Phi_M mod p, is a ring map Z[zeta_M] ->
-F_p, so a nonzero residue proves a candidate root is none.  Only a zero
-residue goes on to vanishes_at.  cyclotomic_roots returns the roots
-alone; it builds no cyclotomic part.  Root finding needs no squarefree
-part; squarefree_part, which proves squarefreeness the same way by a
-nonzero discriminant, has no caller in the solver.
+coordinate changes, multi-prime modular Sylvester resultants,
+multivariate gcd, and exact root-of-unity root finding for univariate
+inputs.  LaurentPolynomial.slice_values is the one exact evaluation at
+a torsion point: the terms with equal e * G^T form a slice, and each
+slice sums into one integer accumulator at level lcm(N, m), reduced
+modulo Phi_lcm(N, m) once.  evaluate (no slice rows), specialize and
+scale_variables (identity rows) and TorsionCoset.lies_on (the coset's
+exponent matrix) are calls to it; vanishes_at is the zero test of
+evaluate, and sign_variant only negates terms.  The univariate layer
+works modulo one prime p = 1 (mod M) first: zeta_M -> w, a root of
+Phi_M mod p, is a ring map Z[zeta_M] -> F_p, so a nonzero residue
+proves a candidate root is none.  Only a zero residue goes on to
+vanishes_at.  cyclotomic_roots returns the roots alone; it builds no
+cyclotomic part.  Root finding needs no squarefree part;
+squarefree_part, which proves squarefreeness the same way by a nonzero
+discriminant, has no caller in the solver.
 Univariate polynomials have no representation of their own: every gcd,
 univariate or not, is the one multivariate_gcd recursion, which works
 over the coefficient field once the coefficients are constants.
@@ -38,7 +42,12 @@ from .arith import (
     cyclotomic_polynomial,
     euler_phi,
 )
-from .lattices import IntegerLattice, mat_inverse_unimodular, min_assignment
+from .lattices import (
+    IntegerLattice,
+    identity_matrix,
+    mat_inverse_unimodular,
+    min_assignment,
+)
 
 
 def _coerce_coeff(c) -> CyclotomicNumber:
@@ -279,42 +288,25 @@ class LaurentPolynomial:
             out[j] = c
         return LaurentPolynomial(self.nvars, out)
 
-    def coset_slices(self, g_rows) -> dict:
-        """Partition of the terms by the value of i * G^T for the
-        exponent-matrix rows g_rows; the slices sum back to f."""
-        slices: dict[tuple[int, ...], dict] = {}
-        for e, c in self.terms.items():
-            j = tuple(sum(x * y for x, y in zip(e, g)) for g in g_rows)
-            slices.setdefault(j, {})[e] = c
-        return {j: LaurentPolynomial(self.nvars, t) for j, t in slices.items()}
-
-    def substitute_root(self, var: int, root: RootOfUnity) -> "LaurentPolynomial":
-        """Exact specialization X_var = root; the result lives in the
-        remaining nvars - 1 variables (and may be identically zero)."""
-        out: dict[tuple[int, ...], CyclotomicNumber] = {}
-        for e, c in self.terms.items():
-            rest = e[:var] + e[var + 1:]
-            val = c * (root ** e[var]).to_cyclotomic()
-            if rest in out:
-                val = out[rest] + val
-            if val.is_zero():
-                out.pop(rest, None)
-            else:
-                out[rest] = val
-        return LaurentPolynomial(self.nvars - 1, out)
+    def specialize(self, point: TorsionPoint) -> "LaurentPolynomial":
+        """Exact specialization of the leading len(point) variables to
+        the coordinates of the point; the result lives in the remaining
+        variables (and may be identically zero)."""
+        k = len(point)
+        rows = identity_matrix(self.nvars)[k:]
+        return LaurentPolynomial(self.nvars - k, self.slice_values(point, rows))
 
     def scale_variables(self, roots) -> "LaurentPolynomial":
         """f(w_1 X_1, ..., w_n X_n) for roots of unity w_i."""
-        point = TorsionPoint(roots)
-        out = {}
-        for e, c in self.terms.items():
-            out[e] = c * point.power(e).to_cyclotomic()
-        return LaurentPolynomial(self.nvars, out)
+        return LaurentPolynomial(self.nvars, self.slice_values(
+            TorsionPoint(roots), identity_matrix(self.nvars)))
 
     def sign_variant(self, eps) -> "LaurentPolynomial":
-        roots = [RootOfUnity.one() if s == 1 else RootOfUnity.minus_one()
-                 for s in eps]
-        return self.scale_variables(roots)
+        """f(eps_1 X_1, ..., eps_n X_n) for signs eps_i: the terms of odd
+        degree in the flipped variables change sign."""
+        return LaurentPolynomial(self.nvars, {
+            e: -c if sum(x for x, s in zip(e, eps) if s == -1) % 2 else c
+            for e, c in self.terms.items()})
 
     def stretch_exponents(self, factor: int) -> "LaurentPolynomial":
         """f(X_1^factor, ..., X_n^factor)."""
@@ -331,39 +323,57 @@ class LaurentPolynomial:
         out = {e[:var] + (0,) + e[var:]: c for e, c in self.terms.items()}
         return LaurentPolynomial(self.nvars + 1, out)
 
-    def evaluate(self, point: TorsionPoint) -> CyclotomicNumber:
-        """Exact value at a torsion point, at level big = lcm(N, m): N
+    def slice_values(self, point: TorsionPoint, g_rows) -> dict:
+        """The values of the coset slices at a torsion point: maps each
+        slice key e * G^T, for the rows g_rows of G, to the sum of
+        c_e * point^e over the terms c_e X^e of that slice.  The point
+        sets the leading len(point) variables; the others count only
+        through the key.  Every value lies at level big = lcm(N, m): N
         the coefficient level, m the order of the point.  With D the lcm
         of the coefficient denominators, each term adds the integer
         coordinates of D times its coefficient at the zeta_big exponent
-        of its monomial value; the sum is reduced modulo Phi_big once."""
-        if len(point) != self.nvars:
-            raise ValueError("point length does not match nvars")
+        of its monomial value to its slice's accumulator, which is
+        reduced modulo Phi_big once."""
+        if len(point) > self.nvars:
+            raise ValueError("point longer than nvars")
         level, den = 1, 1
         for c in self.terms.values():
             level, den = lcm(level, c.level), lcm(den, c.den)
         big = lcm(level, point.order)
-        acc = [0] * big
-        exps = point.exponents()
+        # zeta_big exponent of each coordinate of the point
+        steps = [int(q * big) for q in point.exponents()]
+        accs: dict[tuple[int, ...], list[int]] = {}
         for e, c in self.terms.items():
-            # zeta_big exponent of the monomial value at the point
-            frac = Fraction(0)
-            for x, q in zip(e, exps):
-                if x:
-                    frac += x * q
-            pos0 = int(frac * big)
+            key = tuple(sum(x * y for x, y in zip(e, g)) for g in g_rows)
+            acc = accs.get(key)
+            if acc is None:
+                acc = accs[key] = [0] * big
+            pos0 = sum(x * y for x, y in zip(e, steps))
             step, mult = big // c.level, den // c.den
             for k, x in enumerate(c.num):
                 if x:
                     acc[(pos0 + k * step) % big] += x * mult
         lv = _level(big)
-        red = acc[:lv.phi]
-        for p in range(lv.phi, big):
-            if acc[p]:
-                for i, x in enumerate(lv.power(p)):
-                    if x:
-                        red[i] += acc[p] * x
-        return CyclotomicNumber(big, red, den)
+        out = {}
+        for key, acc in accs.items():
+            red = acc[:lv.phi]
+            for p in range(lv.phi, big):
+                if acc[p]:
+                    for i, x in enumerate(lv.power(p)):
+                        if x:
+                            red[i] += acc[p] * x
+            out[key] = CyclotomicNumber(big, red, den)
+        return out
+
+    def evaluate(self, point: TorsionPoint) -> CyclotomicNumber:
+        """Exact value at a torsion point, at level lcm(N, m): the one
+        slice value for no slice rows."""
+        if len(point) != self.nvars:
+            raise ValueError("point length does not match nvars")
+        values = self.slice_values(point, [])
+        if not values:
+            return CyclotomicNumber.zero().embed_to_level(point.order)
+        return values[()]
 
     def vanishes_at(self, point: TorsionPoint) -> bool:
         return self.evaluate(point).is_zero()
@@ -415,17 +425,6 @@ class LaurentPolynomial:
 
     def is_unit(self) -> bool:
         return len(self.terms) == 1
-
-
-# ---------------------------------------------------------------------------
-# support / lattice
-
-
-def support_and_lattice(f: LaurentPolynomial):
-    """(support set, exponent lattice) of a nonzero Laurent polynomial."""
-    if f.is_zero():
-        raise ValueError("zero polynomial has no support lattice")
-    return f.support(), f.exponent_lattice()
 
 
 # ---------------------------------------------------------------------------

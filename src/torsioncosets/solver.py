@@ -76,15 +76,7 @@ class SolveStats:
         self.exact_certificates = 0
 
     def as_dict(self):
-        return {
-            "max_depth": self.max_depth,
-            "resultants": self.resultants,
-            "max_resultant_degree": self.max_resultant_degree,
-            "splits": self.splits,
-            "subsolves": self.subsolves,
-            "max_level": self.max_level,
-            "exact_certificates": self.exact_certificates,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class SolveReport:
@@ -158,7 +150,8 @@ def binomial_cosets(f: LaurentPolynomial):
         roots = cyclotomic_roots(probe)
         changed = False
         for w in roots:
-            if not work_u.substitute_root(0, w).is_zero():
+            at_w = TorsionPoint([w])
+            if not work_u.specialize(at_w).is_zero():
                 continue
             found.append(TorsionCoset.from_binomial(a, w))
             divisor = LaurentPolynomial(
@@ -171,7 +164,7 @@ def binomial_cosets(f: LaurentPolynomial):
                                        "does not divide")
                 work_u = quot
                 changed = True
-                if work_u.is_unit() or not work_u.substitute_root(0, w).is_zero():
+                if work_u.is_unit() or not work_u.specialize(at_w).is_zero():
                     break
         if changed:
             work, _ = work_u._map_exponents(u).strip_monomial_content()
@@ -470,9 +463,7 @@ def _fiber_points(f: LaurentPolynomial, zeta: TorsionPoint, var: int):
     it: the full fiber line when the specialization is identically zero,
     else the torsion roots of the univariate fiber polynomial."""
     n = f.nvars
-    h = f
-    for w in zeta:
-        h = h.substitute_root(0, w)
+    h = f.specialize(zeta)
     if h.is_zero():
         point = TorsionPoint(list(zeta) + [RootOfUnity.one()])
         rows = []
@@ -507,7 +498,8 @@ def _slice_and_lift(system, a, omega: RootOfUnity, stats: SolveStats,
     n = len(a)
     u = extend_to_basis(a)
     back = mat_inverse_unimodular(u)
-    images = [p.monoidal_image(u).substitute_root(0, omega) for p in system]
+    images = [p._map_exponents(back).specialize(TorsionPoint([omega]))
+              for p in system]
     images = [p for p in images if not p.is_zero()]
     first_row = [1] + [0] * (n - 1)
     if not images:

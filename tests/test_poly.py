@@ -20,7 +20,6 @@ from torsioncosets.poly import (
     multivariate_gcd,
     resultant,
     squarefree_part,
-    support_and_lattice,
 )
 
 L = LaurentPolynomial
@@ -226,6 +225,32 @@ def _reference_evaluate(f, point):
     return total
 
 
+def _reference_substitute_root(f, var, root):
+    # the former specialization X_var = root: one field product per term
+    out = {}
+    for e, c in f.terms.items():
+        rest = e[:var] + e[var + 1:]
+        val = c * (root ** e[var]).to_cyclotomic()
+        out[rest] = out[rest] + val if rest in out else val
+    return L(f.nvars - 1, out)
+
+
+def _reference_scale_variables(f, roots):
+    # the former f(w_1 X_1, ..., w_n X_n): c * w^e term by term
+    point = TorsionPoint(roots)
+    return L(f.nvars, {e: c * point.power(e).to_cyclotomic()
+                       for e, c in f.terms.items()})
+
+
+def _reference_coset_slices(f, g_rows):
+    # the former partition of the terms by e * G^T, one polynomial each
+    slices = {}
+    for e, c in f.terms.items():
+        j = tuple(sum(x * y for x, y in zip(e, g)) for g in g_rows)
+        slices.setdefault(j, {})[e] = c
+    return {j: L(f.nvars, t) for j, t in slices.items()}
+
+
 def _reference_eval_data(f):
     # precomputed (exponent, level, numerator vector, scaled) rows
     # with denominators cleared; vanishing is denominator-free
@@ -363,15 +388,15 @@ def x_plus_y_minus_1():
 
 def test_support_and_lattice_examples():
     f = poly2({(2, 2): 1, (1, 1): 1, (0, 0): 1})
-    _, lat = support_and_lattice(f)
+    assert f.support() == {(2, 2), (1, 1), (0, 0)}
+    lat = f.exponent_lattice()
     assert lat.rank == 1
     assert lat.rows == ((1, 1),)
-    _, lat = support_and_lattice(x_plus_y_minus_1())
-    assert lat == IntegerLattice.full(2)
-    _, lat = support_and_lattice(poly2({(0, 0): 5}))
-    assert lat.rank == 0
+    assert x_plus_y_minus_1().exponent_lattice() == IntegerLattice.full(2)
+    assert poly2({(0, 0): 5}).exponent_lattice().rank == 0
+    assert L.zero(2).support() == set()
     with pytest.raises(ValueError):
-        support_and_lattice(L.zero(2))
+        L.zero(2).exponent_lattice()
 
 
 def test_lattice_invariant_under_monomial_shift():
@@ -432,33 +457,42 @@ def test_monoidal_roundtrip():
         assert f.monoidal_image(u).monoidal_image(v) == f
 
 
-def test_coset_slices_examples():
+def test_slice_values_examples():
+    z6, z65 = RootOfUnity(Fraction(1, 6)), RootOfUnity(Fraction(5, 6))
+    # x*y - 1 is one slice for G = (1, -1); it vanishes where x*y = 1
     f = poly2({(1, 1): 1, (0, 0): -1})
-    slices = f.coset_slices([[1, -1]])
-    assert set(slices) == {(0,)}
-    assert slices[(0,)] == f
+    assert f.slice_values(TorsionPoint([z6, z65]), [[1, -1]]) == {(0,): 0}
 
+    # x + y - 1 for G = (1, 1): the slices x + y and -1
     f = x_plus_y_minus_1()
-    slices = f.coset_slices([[1, 1]])
-    assert slices[(1,)] == poly2({(1, 0): 1, (0, 1): 1})
-    assert slices[(0,)] == poly2({(0, 0): -1})
+    values = f.slice_values(TorsionPoint([z6, z65]), [[1, 1]])
+    assert values == {(1,): 1, (0,): -1}
+    assert f.slice_values(TorsionPoint([z6, z65]), []) == {(): 0}
 
-    slices = f.coset_slices([])
-    assert slices == {(): f}
+    # a point shorter than nvars sets the leading variables only
+    values = f.slice_values(TorsionPoint([z6]), [[0, 1]])
+    assert values == {(1,): 1, (0,): -z65.to_cyclotomic()}
+    assert L.zero(2).slice_values(TorsionPoint([z6]), [[0, 1]]) == {}
+    with pytest.raises(ValueError):
+        f.slice_values(TorsionPoint([z6, z6, z6]), [])
 
 
-def test_coset_slices_sum():
+def test_slice_values_sum():
+    # the slice values sum to the value of f
     rng = random.Random(9)
     for _ in range(20):
         f = _random_poly(rng, 3, 5, 3)
         if f.is_zero():
             continue
         g = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(2)]
-        slices = f.coset_slices(g)
-        total = L.zero(3)
-        for s in slices.values():
-            total = total + s
-        assert total == f
+        point = _random_point(rng, 3, rng.randint(1, 12))
+        values = f.slice_values(point, g)
+        assert len(values) == len({tuple(sum(x * y for x, y in zip(e, r))
+                                         for r in g) for e in f.terms})
+        total = CyclotomicNumber.zero()
+        for v in values.values():
+            total = total + v
+        assert total == f.evaluate(point)
 
 
 def test_resultant_examples():
@@ -627,18 +661,21 @@ def test_multivariate_gcd_random_products():
         assert (a * c).divide_exact(d) is not None
 
 
-def test_substitute_root_examples():
+def test_specialize_examples():
     z6 = RootOfUnity(Fraction(1, 6))
     f = x_plus_y_minus_1()
-    g = f.substitute_root(0, z6)
+    g = f.specialize(TorsionPoint([z6]))
     z65 = RootOfUnity(Fraction(5, 6))
     assert g == L(1, {(1,): 1, (0,): -z65.to_cyclotomic()})
+    point = TorsionPoint([z6, z65])
+    assert f.specialize(point) == L.constant(0, f.evaluate(point))
+    assert f.specialize(TorsionPoint([])) == f
 
     f = poly2({(1, 0): 1, (0, 0): -1})
-    assert f.substitute_root(0, RootOfUnity.one()).is_zero()
+    assert f.specialize(TorsionPoint([RootOfUnity.one()])).is_zero()
 
     f = poly2({(1, 1): 1, (0, 0): -1})
-    h = f.substitute_root(0, RootOfUnity.minus_one())
+    h = f.specialize(TorsionPoint([RootOfUnity.minus_one()]))
     assert h == L(1, {(1,): -1, (0,): -1})
 
 
@@ -719,6 +756,74 @@ def test_evaluate_matches_reference_evaluators():
                     zeros += verdict
                     compared += 1
     assert compared > 3 * zeros > 150
+
+
+def test_slice_kernel_matches_field_references():
+    # slice_values, specialize, scale_variables, sign_variant and
+    # lies_on against the former field-arithmetic paths: the chain of
+    # one-variable substitutions, c * w^e term by term, and the coset
+    # slices evaluated one by one; a planted factor X^a - w^a for a row
+    # a of the coset lattice makes f vanish on the whole coset
+    from torsioncosets.cosets import TorsionCoset
+    rng = random.Random(16)
+    orders = list(range(1, 31))
+    planted = on = compared = 0
+    for n in (1, 2, 3):
+        for level in (1, 3, 4, 8, 12):
+            for draw in range(10):
+                if draw == 0:
+                    f = L(n, {})
+                else:
+                    f = L(n, {tuple(rng.randint(-3, 3) for _ in range(n)):
+                              _evaluation_coefficient(rng, level)
+                              for _ in range(rng.randint(1, 4))})
+                point = _random_point(rng, n, rng.choice(orders))
+                rank = rng.randint(0, n)
+                lattice = IntegerLattice(n, _random_unimodular(rng, n)[:rank])
+                coset = TorsionCoset(point, lattice)
+                if draw % 2 and rank:
+                    a = lattice.rows[0]
+                    w = point.power(a).to_cyclotomic()
+                    f = f * L(n, {a: 1, (0,) * n: -w})
+                    planted += 1
+                big = lcm(f.coefficient_level(), point.order)
+
+                g = coset.exponent_matrix()
+                values = f.slice_values(point, g)
+                slices = _reference_coset_slices(f, g)
+                assert set(values) == set(slices)
+                for key, piece in slices.items():
+                    assert values[key] == _reference_evaluate(piece, point)
+                    assert values[key].level == big
+                verdict = all(not _reference_evaluate(piece, point)
+                              for piece in slices.values())
+                assert coset.lies_on([f]) == verdict
+                if draw % 2 and rank:
+                    assert verdict
+                on += verdict
+                compared += 1
+
+                k = rng.randint(0, n)
+                lead = TorsionPoint(list(point)[:k])
+                chain = f
+                for w in lead:
+                    chain = _reference_substitute_root(chain, 0, w)
+                spec = f.specialize(lead)
+                assert spec.nvars == n - k and spec == chain
+                assert all(c.level == lcm(f.coefficient_level(), lead.order)
+                           for c in spec.terms.values())
+
+                roots = list(point)
+                assert (f.scale_variables(roots)
+                        == _reference_scale_variables(f, roots))
+                eps = tuple(rng.choice((1, -1)) for _ in range(n))
+                signs = [RootOfUnity.one() if s == 1 else RootOfUnity.minus_one()
+                         for s in eps]
+                twist = f.sign_variant(eps)
+                assert twist == _reference_scale_variables(f, signs)
+                assert all(twist.terms[e].level == c.level
+                           for e, c in f.terms.items())
+    assert compared > 2 * on > 2 * planted > 40
 
 
 def test_resultant_trivariate_matches_bareiss():
