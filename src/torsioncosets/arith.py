@@ -7,8 +7,8 @@ together with one positive denominator.  Representation at a fixed level
 is unique, so the zero test is trivial.  Arithmetic between different
 levels lifts lazily to the lcm of the levels.
 
-Roots of unity are kept symbolically as reduced exponent fractions a/m
-(the value exp(2*pi*i*a/m)); they are never converted to floats.
+Roots of unity and torsion points are kept symbolically as integer
+exponent numerators a over one order m (the value exp(2*pi*i*a/m)).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import threading
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from operator import mul
 
 from .lattices import IntegerLattice, hermite_normal_form, mat_mul
 
@@ -435,46 +436,44 @@ def _subfield_basis(n: int, d: int):
 
 
 class RootOfUnity:
-    """A root of unity exp(2*pi*i*a/m), stored as the reduced exponent
-    a/m in Q/Z with 0 <= a/m < 1."""
+    """A root of unity exp(2*pi*i*a/m), RootOfUnity(a, m) or RootOfUnity(q)
+    for q = a/m, stored reduced as numerator 0 <= a < m and order m."""
 
-    __slots__ = ("exponent",)
+    __slots__ = ("numerator", "order")
 
-    def __init__(self, exponent):
-        e = Fraction(exponent) % 1
-        object.__setattr__(self, "exponent", e)
+    def __init__(self, exponent, order: int | None = None):
+        if order is None:
+            exponent, order = Fraction(exponent).as_integer_ratio()
+        elif order < 1:
+            raise ValueError("order must be positive")
+        g = gcd(exponent, order)
+        object.__setattr__(self, "order", order // g)
+        object.__setattr__(self, "numerator", exponent // g % (order // g))
 
     def __setattr__(self, *a):
         raise AttributeError("RootOfUnity is immutable")
 
     @classmethod
     def one(cls) -> "RootOfUnity":
-        return cls(0)
+        return cls(0, 1)
 
     @classmethod
     def minus_one(cls) -> "RootOfUnity":
-        return cls(Fraction(1, 2))
-
-    @classmethod
-    def primitive(cls, m: int, a: int = 1) -> "RootOfUnity":
-        return cls(Fraction(a, m))
+        return cls(1, 2)
 
     @property
-    def order(self) -> int:
-        return self.exponent.denominator
-
-    @property
-    def numerator(self) -> int:
-        return self.exponent.numerator
+    def exponent(self) -> Fraction:
+        return Fraction(self.numerator, self.order)
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity(self.exponent + other.exponent)
+        return RootOfUnity(self.numerator * other.order + other.numerator
+                           * self.order, self.order * other.order)
 
     def __pow__(self, k: int) -> "RootOfUnity":
-        return RootOfUnity(self.exponent * k)
+        return RootOfUnity(self.numerator * k, self.order)
 
     def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(-self.exponent)
+        return RootOfUnity(-self.numerator, self.order)
 
     def to_cyclotomic(self, level: int | None = None) -> CyclotomicNumber:
         m = self.order
@@ -486,14 +485,14 @@ class RootOfUnity:
 
     def __eq__(self, other):
         if isinstance(other, RootOfUnity):
-            return self.exponent == other.exponent
+            return (self.numerator, self.order) == (other.numerator, other.order)
         return NotImplemented
 
     def __lt__(self, other):
-        return self.exponent < other.exponent
+        return self.numerator * other.order < other.numerator * self.order
 
     def __hash__(self):
-        return hash(self.exponent)
+        return hash((self.numerator, self.order))
 
     def __repr__(self):
         return f"w({self.exponent})"
@@ -513,64 +512,76 @@ def conjugate_exponent(m: int) -> int:
     return 2
 
 
+def lowest_terms(nums, m: int) -> tuple[tuple[int, int], ...]:
+    """Each a/m for the a in nums in lowest terms, as (numerator, den)."""
+    return tuple((a // g, m // g) for a in nums for g in (gcd(a, m),))
+
+
 class TorsionPoint:
-    """A point of the algebraic torus all of whose coordinates are roots
-    of unity."""
+    """A point of the torus with roots of unity as coordinates, stored as
+    numerators 0 <= nums[i] < m over its order m: TorsionPoint(nums, m)."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("nums", "order")
 
-    def __init__(self, coords):
-        coords = tuple(c if isinstance(c, RootOfUnity) else RootOfUnity(c)
-                       for c in coords)
-        object.__setattr__(self, "coords", coords)
+    def __init__(self, coords, order: int | None = None):
+        if order is None:
+            coords = [(c.numerator, c.order) if isinstance(c, RootOfUnity)
+                      else Fraction(c).as_integer_ratio() for c in coords]
+            order = lcm(*(m for _, m in coords))
+            coords = [a * (order // m) for a, m in coords]
+        elif order < 1:
+            raise ValueError("order must be positive")
+        g = gcd(order, *coords)
+        m = order // g
+        object.__setattr__(self, "order", m)
+        object.__setattr__(self, "nums", tuple(x // g % m for x in coords))
 
     def __setattr__(self, *a):
         raise AttributeError("TorsionPoint is immutable")
 
     @classmethod
     def ones(cls, n: int) -> "TorsionPoint":
-        return cls([RootOfUnity.one()] * n)
+        return cls((0,) * n, 1)
 
     def __len__(self):
-        return len(self.coords)
+        return len(self.nums)
 
     def __iter__(self):
-        return iter(self.coords)
+        return (RootOfUnity(x, self.order) for x in self.nums)
 
     def __getitem__(self, i):
-        return self.coords[i]
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for c in self.coords:
-            out = lcm(out, c.order)
-        return out
+        return RootOfUnity(self.nums[i], self.order)
 
     def power(self, v) -> RootOfUnity:
-        """The monomial character value x^v = prod x_i^{v_i} at this
-        point, as a root of unity."""
-        if len(v) != len(self.coords):
+        """The character value x^v = prod x_i^{v_i}, a root of unity."""
+        if len(v) != len(self.nums):
             raise ValueError("exponent vector length mismatch")
-        e = Fraction(0)
-        for vi, c in zip(v, self.coords):
-            if vi:
-                e += vi * c.exponent
-        return RootOfUnity(e)
+        return RootOfUnity(sum(map(mul, v, self.nums)), self.order)
+
+    def powers(self, rows) -> "TorsionPoint":
+        """The torsion point (x^r for the rows r) at this point."""
+        return TorsionPoint([sum(map(mul, r, self.nums)) for r in rows],
+                            self.order)
 
     def __mul__(self, other: "TorsionPoint") -> "TorsionPoint":
-        return TorsionPoint([a * b for a, b in zip(self.coords, other.coords)])
+        m = lcm(self.order, other.order)
+        return TorsionPoint([x * (m // self.order) + y * (m // other.order)
+                             for x, y in zip(self.nums, other.nums)], m)
 
     def exponents(self) -> tuple[Fraction, ...]:
-        return tuple(c.exponent for c in self.coords)
+        return tuple(Fraction(x, self.order) for x in self.nums)
 
     def __eq__(self, other):
         if isinstance(other, TorsionPoint):
-            return self.coords == other.coords
+            return self.order == other.order and self.nums == other.nums
         return NotImplemented
 
+    def __lt__(self, other):  # by value, coordinate by coordinate
+        return (tuple(x * other.order for x in self.nums)
+                < tuple(y * self.order for y in other.nums))
+
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.order, self.nums))
 
     def __repr__(self):
-        return "(" + ", ".join(str(c.exponent) for c in self.coords) + ")"
+        return "(" + ", ".join(map(str, self.exponents())) + ")"

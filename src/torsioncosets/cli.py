@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import CyclotomicNumber, TorsionPoint
+from .arith import CyclotomicNumber, TorsionPoint, lowest_terms
 from .bounds import check_soft_bounds, paper_constants
 from .cosets import TorsionCoset
 from .lattices import IntegerLattice
@@ -326,8 +326,8 @@ def parse_system(text: str) -> SystemDocument:
 def coset_to_json(coset: TorsionCoset, certified: bool) -> dict:
     return {
         "dim": coset.dimension,
-        "point": [[str(w.exponent.numerator), str(w.exponent.denominator)]
-                  for w in coset.point],
+        "point": [[str(a), str(b)] for a, b
+                  in lowest_terms(coset.point.nums, coset.point.order)],
         "lattice": [list(row) for row in coset.lattice.rows],
         "certified": bool(certified),
     }
@@ -349,7 +349,8 @@ def report_to_json(doc: SystemDocument, report: SolveReport) -> dict:
 
 
 def _format_point(point: TorsionPoint) -> str:
-    return "(" + ", ".join(f"e({w.exponent})" for w in point) + ")"
+    return "(" + ", ".join(f"e({a}/{b})" if a else "e(0)" for a, b
+                           in lowest_terms(point.nums, point.order)) + ")"
 
 
 def report_to_text(doc: SystemDocument, report: SolveReport) -> str:
@@ -418,7 +419,7 @@ def _cmd_verify(args) -> int:
         "oracle": {
             "maxOrder": oracle.max_order,
             "points": len(oracle.points),
-            "missed": [[str(w.exponent.numerator), str(w.exponent.denominator)]
+            "missed": [[str(w.numerator), str(w.order)]
                        for p in oracle.missed_by_solver for w in p],
             "spurious": [coset_to_json(c, False)
                          for c in oracle.spurious_cosets],
@@ -473,7 +474,7 @@ def _cmd_cyclo(args) -> int:
         part = part * (x - w.to_cyclotomic())
     if args.format == "json":
         payload = {
-            "roots": [[str(w.exponent.numerator), str(w.exponent.denominator)]
+            "roots": [[str(w.numerator), str(w.order)]
                       for w in roots],
             "cyclotomicPart": repr(part),
             "cyclotomicPartDegree": part.total_degree(),

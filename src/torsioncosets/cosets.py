@@ -13,11 +13,12 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 
-from .arith import RootOfUnity, TorsionPoint
+from .arith import RootOfUnity, TorsionPoint, lowest_terms
 from .lattices import (
     IntegerLattice,
     _smith_diagonalize,
     mat_inverse_unimodular,
+    mat_mul,
     xgcd,
 )
 
@@ -74,7 +75,7 @@ class TorsionCoset:
         direction line."""
         n = len(direction)
         b = bezout_vector(direction)
-        point = TorsionPoint([root ** bi for bi in b])
+        point = TorsionPoint([root.numerator * bi for bi in b], root.order)
         return cls(point, IntegerLattice(n, [list(direction)]))
 
     @property
@@ -85,20 +86,23 @@ class TorsionCoset:
     def dimension(self) -> int:
         return self.ambient - self.lattice.rank
 
-    def canonical_key(self):
+    def int_key(self):
         """Invariant under the choice of representative point and of the
-        lattice basis: the HNF rows together with the pairing values
-        point^a for the HNF rows a."""
+        lattice basis: (rows, m, nums) for the HNF rows a and the pairings
+        point^a = exp(2*pi*i*nums[i]/m) over their common order m."""
         if self._key is None:
-            pairings = tuple(self.point.power(row).exponent
-                             for row in self.lattice.rows)
-            object.__setattr__(self, "_key", (self.lattice.rows, pairings))
+            p = self.point.powers(self.lattice.rows)
+            object.__setattr__(self, "_key", (self.lattice.rows, p.order, p.nums))
         return self._key
 
+    def canonical_key(self):
+        """int_key() with the pairings as a tuple of Fractions."""
+        rows, m, nums = self.int_key()
+        return rows, tuple(Fraction(x, m) for x in nums)
+
     def sort_key(self):
-        key = self.canonical_key()
-        return (self.dimension, key[0],
-                tuple((p.numerator, p.denominator) for p in key[1]))
+        rows, m, nums = self.int_key()
+        return self.dimension, rows, lowest_terms(nums, m)
 
     def exponent_matrix(self):
         """Rows of a basis of span^perp(A) cap Z^n (the parametric
@@ -115,8 +119,8 @@ class TorsionCoset:
             raise ValueError("ambient dimensions differ")
         if not self.lattice.contains_lattice(other.lattice):
             return False
-        return all(self.point.power(row) == other.point.power(row)
-                   for row in other.lattice.rows)
+        p = self.point.powers(other.lattice.rows)
+        return (other.lattice.rows, p.order, p.nums) == other.int_key()
 
     def contains_point(self, point: TorsionPoint) -> bool:
         return TorsionCoset.from_point(point).is_subcoset_of(self)
@@ -126,9 +130,8 @@ class TorsionCoset:
         unimodular matrix u (rows u_i): the point maps to (w^{u_1}, ...,
         w^{u_n}) and the lattice to A * u^{-1}."""
         v = mat_inverse_unimodular([list(r) for r in u])
-        point = TorsionPoint([self.point.power(row) for row in u])
-        rows = [[sum(a[k] * v[k][j] for k in range(self.ambient))
-                 for j in range(self.ambient)] for a in self.lattice.rows]
+        point = self.point.powers(u)
+        rows = mat_mul(self.lattice.rows, v)
         return TorsionCoset(point, IntegerLattice(self.ambient, rows))
 
     def translate(self, shift: TorsionPoint) -> "TorsionCoset":
@@ -145,11 +148,11 @@ class TorsionCoset:
 
     def __eq__(self, other):
         if isinstance(other, TorsionCoset):
-            return self.canonical_key() == other.canonical_key()
+            return self.int_key() == other.int_key()
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.canonical_key())
+        return hash(self.int_key())
 
     def __repr__(self):
         return (f"TorsionCoset(point={self.point!r}, "
@@ -157,12 +160,12 @@ class TorsionCoset:
 
 
 def maximal_filter(cosets) -> list[TorsionCoset]:
-    """Deduplicate by canonical key and drop every coset strictly
-    contained in another one; the output is sorted by (dimension, key)
-    and covers the same torsion points as the input."""
+    """Deduplicate by key and drop every coset strictly contained in
+    another one; the output is sorted by sort_key and covers the same
+    torsion points as the input."""
     unique: dict = {}
     for c in cosets:
-        unique.setdefault(c.canonical_key(), c)
+        unique.setdefault(c.int_key(), c)
     ordered = sorted(unique.values(), key=TorsionCoset.sort_key)
     dims = [c.dimension for c in ordered]
     # distinct cosets of equal dimension cannot contain one another, so
@@ -176,15 +179,15 @@ class CongruenceSolutionSet:
     """All torsion solutions q of R q = s (mod 1).
 
     The solution set, when consistent, is q0 + {torsion q : R q = 0},
-    and the homogeneous part splits into class_count classes modulo the
-    torsion of the connected subgroup cut out by the saturation of R.
-    Modulo that torsion, the homogeneous solutions are generated by the
-    points column / order of the (column, order) pairs in generators;
-    the class shifts are listed from them only on demand.
+    and the homogeneous part splits into len(class_shifts) classes
+    modulo the torsion of the connected subgroup cut out by the
+    saturation of R.  Modulo that torsion, the homogeneous solutions are
+    generated by the points column / order of the (column, order) pairs
+    in generators; the class shifts are listed from them on demand.
     """
 
     __slots__ = ("ambient", "consistent", "particular", "homogeneous",
-                 "generators", "_shifts")
+                 "generators")
 
     def __init__(self, ambient, consistent, particular=None,
                  homogeneous=None, generators=()):
@@ -193,28 +196,24 @@ class CongruenceSolutionSet:
         self.particular = particular
         self.homogeneous = homogeneous
         self.generators = tuple(generators)
-        self._shifts = None
 
     @property
     def class_shifts(self) -> tuple[TorsionPoint, ...]:
+        return tuple(self.class_points(TorsionPoint.ones(self.ambient)))
+
+    def class_points(self, base: TorsionPoint | None = None):
+        """One point per solution class: base (default: the particular
+        solution) times each class shift, over one common order."""
         if not self.consistent:
-            return ()
-        if self._shifts is None:
-            shifts = [TorsionPoint([Fraction(0)] * self.ambient)]
-            for col, d in self.generators:
-                shifts = [base * TorsionPoint([Fraction(j * c, d) % 1
-                                               for c in col])
-                          for j in range(d) for base in shifts]
-            self._shifts = tuple(shifts)
-        return self._shifts
-
-    @property
-    def class_count(self) -> int:
-        return len(self.class_shifts)
-
-    def class_points(self) -> list[TorsionPoint]:
-        """One torsion point per solution class."""
-        return [self.particular * shift for shift in self.class_shifts]
+            return []
+        base = self.particular if base is None else base
+        den = lcm(base.order, *(d for _, d in self.generators))
+        vecs = [[x * (den // base.order) for x in base.nums]]
+        for col, d in self.generators:
+            step = [den // d * c for c in col]
+            vecs = [[x + j * y for x, y in zip(v, step)]
+                    for j in range(d) for v in vecs]
+        return [TorsionPoint(v, den) for v in vecs]
 
     def cosets(self) -> list["TorsionCoset"]:
         """The solution set as a union of torsion cosets on the
@@ -243,38 +242,40 @@ class CongruenceSolutionSet:
         if self.homogeneous.rank != self.ambient:
             raise ValueError("solution set is infinite")
         n = self.ambient
-        q0 = self.particular.exponents()
-        den = lcm(*(x.denominator for x in q0), *(d for _, d in self.generators))
+        q0 = self.particular
+        den = lcm(q0.order, *(d for _, d in self.generators))
         rows = [[den * (i == j) for j in range(n)] for i in range(n)]
         rows += [[den // d * c for c in col] for col, d in self.generators]
-        k = [int(x * den) for x in q0]
+        k = [x * (den // q0.order) for x in q0.nums]
         for i, row in enumerate(IntegerLattice(n, rows).rows):
             step = k[i] // row[i]
             k = [x - step * y for x, y in zip(k, row)]
-        return TorsionPoint([Fraction(x, den) for x in k])
+        return TorsionPoint(k, den)
 
 
 def solve_exponent_congruences(rows, s) -> CongruenceSolutionSet:
     """Describe all torsion q with R q = s (mod 1) via the Smith normal
     form of R; for square nonsingular R there are exactly |det R|
-    solutions."""
+    solutions.  The right-hand side s is a TorsionPoint, or rationals
+    taken modulo 1."""
     rows = [list(r) for r in rows]
     k = len(rows)
     if k == 0:
         raise ValueError("empty congruence system has no ambient dimension")
     n = len(rows[0])
-    s = [Fraction(x) for x in s]
+    s = TorsionPoint(s)
     if len(s) != k:
         raise ValueError("right-hand side length mismatch")
     w, diag, v = _smith_diagonalize(rows)
     rank = sum(1 for d in diag if d)
-    t = [sum(Fraction(w[i][j]) * s[j] for j in range(k)) for i in range(k)]
-    for i in range(rank, k):
-        if t[i].denominator != 1:
-            return CongruenceSolutionSet(n, False)
-    y0 = [t[i] / diag[i] for i in range(rank)] + [Fraction(0)] * (n - rank)
-    q0 = TorsionPoint([sum(Fraction(v[i][j]) * y0[j] for j in range(n)) % 1
-                       for i in range(n)])
+    # with s = nums / m: W s = t / m, and y0 = D^-1 W s over m * lcm(D)
+    m = s.order
+    t = [sum(a * b for a, b in zip(row, s.nums)) for row in w]
+    if any(t[i] % m for i in range(rank, k)):
+        return CongruenceSolutionSet(n, False)
+    den = m * lcm(*diag[:rank])
+    y0 = [t[i] * (den // (m * diag[i])) for i in range(rank)] + [0] * (n - rank)
+    q0 = TorsionPoint([sum(a * b for a, b in zip(row, y0)) for row in v], den)
     # R = W^-1 D V^-1, so the saturated row space of R is spanned by the
     # first rank rows of V^-1
     hom = IntegerLattice(n, mat_inverse_unimodular(v)[:rank])

@@ -41,7 +41,6 @@ so it imports nothing from the library but `.arith`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 from operator import mul
@@ -223,10 +222,9 @@ def brute_force_points(system, max_order: int,
         group = _units(m, gcd(m, level))
         for k in _orbit_representatives(n, m, level):
             if all(c.vanishes(k, m) for c in compiled):
-                found += [tuple(Fraction(u * x % m, m) for x in k)
+                found += [TorsionPoint([u * x for x in k], m)
                           for u in group]
-    found.sort()
-    return [TorsionPoint(f) for f in found]
+    return sorted(found)
 
 
 def cross_check(solve_report, system, max_order: int,

@@ -341,7 +341,7 @@ class LaurentPolynomial:
             level, den = lcm(level, c.level), lcm(den, c.den)
         big = lcm(level, point.order)
         # zeta_big exponent of each coordinate of the point
-        steps = [int(q * big) for q in point.exponents()]
+        steps = [x * (big // point.order) for x in point.nums]
         accs: dict[tuple[int, ...], list[int]] = {}
         for e, c in self.terms.items():
             key = tuple(sum(x * y for x, y in zip(e, g)) for g in g_rows)
@@ -575,9 +575,9 @@ def cyclotomic_roots(g: LaurentPolynomial) -> list[RootOfUnity]:
         for orbit in _unit_orbits(d, big, level):
             if _eval_mod(imgs, pow(wd, orbit[0], p), p):
                 continue
-            if hpoly.vanishes_at(TorsionPoint([Fraction(orbit[0], d)])):
+            if hpoly.vanishes_at(TorsionPoint([orbit[0]], d)):
                 for a in orbit:
-                    roots.append(RootOfUnity(Fraction(a, d)))
+                    roots.append(RootOfUnity(a, d))
                 found_degree += len(orbit)
                 if found_degree >= deg:
                     break

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .arith import (
@@ -205,10 +204,10 @@ def reduce_rank_deficient(f: LaurentPolynomial):
                                "of the HNF rows")
         reduced[tuple(image[:r])] = c
     back = transpose(t)
-    pad = [RootOfUnity.one()] * (n - r)
+    pad = (0,) * (n - r)
 
     def lift(cosets):
-        return [TorsionCoset(TorsionPoint(list(c.point) + pad),
+        return [TorsionCoset(TorsionPoint(c.point.nums + pad, c.point.order),
                              IntegerLattice(n, [list(row) + [0] * (n - r)
                                                 for row in c.lattice.rows]))
                 .transform(back) for c in cosets]
@@ -240,11 +239,10 @@ def rescale_to_full_lattice(f: LaurentPolynomial):
     def pullback(cosets):
         results = []
         for c in cosets:
-            rows = [list(r) for r in c.lattice.rows]
+            rows, m, nums = c.int_key()
             constraint = [[sum(b[i] * a_rows[i][j] for i in range(n))
                            for j in range(n)] for b in rows]
-            s = [c.point.power(b).exponent for b in rows]
-            sol = solve_exponent_congruences(constraint, s)
+            sol = solve_exponent_congruences(constraint, TorsionPoint(nums, m))
             if not sol.consistent:
                 raise RuntimeError("internal error: inconsistent isogeny "
                                    "pullback")
@@ -288,7 +286,7 @@ def minimal_level_normalize(f: LaurentPolynomial):
         g = gcd(two_n, lcm(2, m))
         rows = [[two_n * x for x in row] for row in identity_matrix(n)]
         rows += [[g * (x - y) for x, y in zip(e, d)] for e in others]
-        rhs = [0] * n + [Fraction(g * js[0], two_n) for js in admissible]
+        rhs = TorsionPoint([0] * n + [g * js[0] for js in admissible], two_n)
         sol = solve_exponent_congruences(rows, rhs)
         if sol.consistent:
             point = sol.least_point()
@@ -446,7 +444,7 @@ def _solve_full_lattice(f: LaurentPolynomial, stats: SolveStats,
             continue
         seen_resultants.add(key)
         for c in _solve_hypersurface(gk, stats, depth + 1):
-            candidates.setdefault(c.canonical_key(), c)
+            candidates.setdefault(c.int_key(), c)
     results: list[TorsionCoset] = []
     for cand in sorted(candidates.values(), key=TorsionCoset.sort_key):
         if cand.dimension == 0:
@@ -465,19 +463,10 @@ def _fiber_points(f: LaurentPolynomial, zeta: TorsionPoint, var: int):
     n = f.nvars
     h = f.specialize(zeta)
     if h.is_zero():
-        point = TorsionPoint(list(zeta) + [RootOfUnity.one()])
-        rows = []
-        for i in range(n - 1):
-            row = [0] * n
-            row[i] = 1
-            rows.append(row)
-        return [TorsionCoset(point, IntegerLattice(n, rows))]
-    out = []
-    roots = cyclotomic_roots(h)
-    for w in roots:
-        point = TorsionPoint(list(zeta) + [w])
-        out.append(TorsionCoset.from_point(point))
-    return out
+        point = TorsionPoint(zeta.nums + (0,), zeta.order)
+        return [TorsionCoset(point, IntegerLattice(n, identity_matrix(n)[:-1]))]
+    return [TorsionCoset.from_point(TorsionPoint(list(zeta) + [w]))
+            for w in cyclotomic_roots(h)]
 
 
 def _primitive_member(lattice: IntegerLattice):
@@ -525,7 +514,7 @@ def _certify(cosets, polys, stats: SolveStats) -> list[bool]:
     its own exact test or by its key matching such a conjugate of a
     coset whose test was True."""
     level = lcm(*(f.coefficient_level() for f in polys))
-    index = {c.canonical_key(): i for i, c in enumerate(cosets)}
+    index = {c.int_key(): i for i, c in enumerate(cosets)}
     certificates = [False] * len(cosets)
     for i, c in enumerate(cosets):
         if certificates[i]:
@@ -533,11 +522,11 @@ def _certify(cosets, polys, stats: SolveStats) -> list[bool]:
         stats.exact_certificates += 1
         if not c.lies_on(polys):
             continue
-        rows, pairings = c.canonical_key()
-        big = lcm(level, *(q.denominator for q in pairings))
+        rows, m, nums = c.int_key()
+        big = lcm(level, m)
         for k in range(1, big + 1, level):
             if gcd(k, big) == 1:
-                j = index.get((rows, tuple(k * q % 1 for q in pairings)))
+                j = index.get((rows, m, tuple(k * q % m for q in nums)))
                 if j is not None:
                     certificates[j] = True
     return certificates
