@@ -339,12 +339,11 @@ def coset_from_json(obj, n: int) -> TorsionCoset:
 
 
 def report_to_json(doc: SystemDocument, report: SolveReport) -> dict:
-    ordered = sorted(zip(report.cosets, report.certificates),
-                     key=lambda pair: pair[0].sort_key())
     return {
         "n": doc.nvars,
         "field": doc.level,
-        "cosets": [coset_to_json(c, cert) for c, cert in ordered],
+        "cosets": [coset_to_json(c, cert) for c, cert
+                   in zip(report.cosets, report.certificates)],
     }
 
 
@@ -356,8 +355,7 @@ def _format_point(point: TorsionPoint) -> str:
 def report_to_text(doc: SystemDocument, report: SolveReport) -> str:
     lines = [f"{len(report.cosets)} maximal torsion coset(s) "
              f"in {doc.nvars} variable(s), field level {doc.level}"]
-    ordered = sorted(report.cosets, key=TorsionCoset.sort_key)
-    for c in ordered:
+    for c in report.cosets:
         if c.dimension == 0:
             lines.append(f"  point {_format_point(c.point)}")
         else:

@@ -1,7 +1,7 @@
 """Integer lattice algorithms: the Hermite normal form with its
 transformation matrix, the one integer elimination here; the Smith
 form by alternating row HNFs of a matrix and of its transpose;
-saturation, orthogonal complements, completion of a primitive vector
+orthogonal complements, completion of a primitive vector
 to a unimodular basis, and the least-weight permutation (assignment)
 of a square integer matrix.
 
@@ -54,29 +54,6 @@ def transpose(a):
     if not a:
         return []
     return [[row[i] for row in a] for i in range(len(a[0]))]
-
-
-def determinant(m) -> int:
-    """Determinant of a square integer matrix (Bareiss)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def min_assignment(weights) -> int:
@@ -273,9 +250,6 @@ class IntegerLattice:
 
     def contains_lattice(self, other: "IntegerLattice") -> bool:
         return all(self.contains(r) for r in other.rows)
-
-    def saturation(self) -> "IntegerLattice":
-        return self.orthogonal_complement().orthogonal_complement()
 
     def orthogonal_complement(self) -> "IntegerLattice":
         """Basis of span_R(self)^perp intersected with Z^n; always a

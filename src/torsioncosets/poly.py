@@ -921,11 +921,6 @@ def multivariate_gcd(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolyn
         return LaurentPolynomial.constant(f.nvars, 1)
     used = sorted(f.variables_used() | g.variables_used())
     var = used[-1]
-    if not (any(e[var] for e in f.terms) and any(e[var] for e in g.terms)):
-        # main variable missing from one input: gcd divides the contents
-        missing, other = (f, g) if not any(e[var] for e in f.terms) else (g, f)
-        cont, _ = _content_and_primitive(other.coefficients_in(var))
-        return _drop_and_gcd(missing, cont, var)
     cont_f, ppf = _content_and_primitive(f.coefficients_in(var))
     cont_g, ppg = _content_and_primitive(g.coefficients_in(var))
     cont = multivariate_gcd(cont_f, cont_g) if not (cont_f.is_unit() or cont_g.is_unit()) \
@@ -985,11 +980,3 @@ def _content_and_primitive(coeff_dict):
         out[k] = q
     return cont, out
 
-
-def _drop_and_gcd(missing: LaurentPolynomial, cont: LaurentPolynomial, var: int):
-    m = missing.coefficients_in(var)
-    if set(m) != {0}:
-        raise RuntimeError("internal error: polynomial involves the "
-                           "dropped variable")
-    g = multivariate_gcd(m[0], cont)
-    return g.insert_variable(var)

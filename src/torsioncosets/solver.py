@@ -3,12 +3,15 @@ torsion cosets on the subvariety the system defines in the algebraic
 n-torus.
 
 The hypersurface solver strips codimension-one cosets off as binomial
-factors, reduces the exponent lattice to full rank and then to all of
-Z^n through an isogeny pullback, builds the auxiliary family of twisted
-polynomials (sign twists, squared twists and Galois twists, depending on
-the coefficient field), eliminates one variable by resultants, and
-recurses on the candidate projections.  General systems recurse through
-slices of the first hypersurface's positive-dimensional cosets.
+factors X^a - w, found in the original coordinates: one line of the
+support along a gives the candidate roots w, and TorsionCoset.lies_on
+decides each one exactly.  It then reduces the exponent lattice to full
+rank and then to all of Z^n through an isogeny pullback, builds the
+auxiliary family of twisted polynomials (sign twists, squared twists and
+Galois twists, depending on the coefficient field), eliminates one
+variable by resultants, and recurses on the candidate projections.
+General systems recurse through slices of the first hypersurface's
+positive-dimensional cosets.
 
 Both lattice reductions are integer coordinate changes read off one
 Hermite normal form: the HNF of the transposed support drops every
@@ -34,6 +37,7 @@ from .arith import (
 )
 from .cosets import (
     TorsionCoset,
+    bezout_vector,
     maximal_filter,
     solve_exponent_congruences,
 )
@@ -79,7 +83,8 @@ class SolveStats:
 
 
 class SolveReport:
-    """Maximal torsion cosets of a system, with bookkeeping."""
+    """Maximal torsion cosets of a system, in sort_key order (as
+    maximal_filter returns them), with bookkeeping."""
 
     __slots__ = ("cosets", "stats", "certificates")
 
@@ -121,52 +126,51 @@ def _primitive_directions(support):
 def binomial_cosets(f: LaurentPolynomial):
     """All (n-1)-dimensional torsion cosets on H(f), which correspond to
     binomial factors X^a - w, plus the cofactor of f with every such
-    factor divided out."""
+    factor divided out.
+
+    For a primitive direction a and b with <a, b> = 1, each exponent is
+    e = k + <e, b> a with k = e - <e, b> a, constant on the line
+    e + Z a, so f = sum_k X^k P_k(X^a).  The characters X^k (<k, b> = 0)
+    are distinct on H_a, so f vanishes on the coset from_binomial(a, w)
+    = {x : x^a = w} exactly when every line polynomial P_k vanishes at
+    w: the roots of the line with the fewest terms are the candidates,
+    and lies_on decides.  For primitive a, X^a - w is irreducible (Y_1 - w
+    in coordinates with Y_1 = X^a), so it divides f exactly when f
+    vanishes on that coset.  The stripped binomial has no monomial
+    factor, so divide_exact finds the Laurent quotient."""
     if f.is_zero():
         raise ValueError("zero polynomial")
     n = f.nvars
     work, _ = f.strip_monomial_content()
     found: list[TorsionCoset] = []
-    if work.is_unit():
-        return found, work
     for a in _primitive_directions(work.support()):
         if work.is_unit():
             break
-        u = extend_to_basis(list(a))
-        work_u = work.monoidal_image(u)
-        coeffs = work_u.coefficients_in(0)
-        if len(coeffs) < 2:
-            # single power of Y1: no binomial factor in this direction
+        b = bezout_vector(a)
+        lines: dict[tuple[int, ...], dict] = {}
+        for e, c in work.terms.items():
+            pos = sum(x * y for x, y in zip(e, b))
+            key = tuple(x - pos * y for x, y in zip(e, a))
+            lines.setdefault(key, {})[(pos,)] = c
+        line = lines[min(lines, key=lambda key: (len(lines[key]), key))]
+        if len(line) < 2:
+            # a line with one term never vanishes: no binomial factor
             continue
-        # one profile polynomial in Y1; common roots are verified on the
-        # whole transformed polynomial afterwards
-        profiles: dict[tuple[int, ...], dict] = {}
-        for k, poly in coeffs.items():
-            for e, c in poly.terms.items():
-                profiles.setdefault(e, {})[(k,)] = c
-        profile_key = min(profiles, key=lambda e: (len(profiles[e]), e))
-        probe = LaurentPolynomial(1, profiles[profile_key])
-        roots = cyclotomic_roots(probe)
-        changed = False
-        for w in roots:
-            at_w = TorsionPoint([w])
-            if not work_u.specialize(at_w).is_zero():
+        for w in cyclotomic_roots(LaurentPolynomial(1, line)):
+            coset = TorsionCoset.from_binomial(a, w)
+            if not coset.lies_on([work]):
                 continue
-            found.append(TorsionCoset.from_binomial(a, w))
-            divisor = LaurentPolynomial(
-                n, {(1,) + (0,) * (n - 1): 1,
-                    (0,) * n: -w.to_cyclotomic()})
+            found.append(coset)
+            binomial = LaurentPolynomial(
+                n, {a: 1, (0,) * n: -w.to_cyclotomic()})
             while True:
-                quot = work_u.divide_exact(divisor)
+                quot = work.divide_exact(binomial)
                 if quot is None:
                     raise RuntimeError("internal error: binomial factor "
                                        "does not divide")
-                work_u = quot
-                changed = True
-                if work_u.is_unit() or not work_u.specialize(at_w).is_zero():
+                work, _ = quot.strip_monomial_content()
+                if not coset.lies_on([work]):
                     break
-        if changed:
-            work, _ = work_u._map_exponents(u).strip_monomial_content()
     return found, work
 
 

@@ -19,7 +19,6 @@ from torsioncosets.bounds import (
 from torsioncosets.cosets import maximal_filter, solve_exponent_congruences
 from torsioncosets.lattices import (
     IntegerLattice,
-    determinant,
     hermite_normal_form,
     mat_mul,
     smith_normal_form,
@@ -235,6 +234,10 @@ def test_criterion_8_bounds_calculators():
 
 
 def test_criterion_9_kernel_properties():
+    # imported here: perfbench/tests loads this module by its path, with
+    # no tests/ directory on sys.path
+    from lattice_references import determinant, saturation
+
     rng = random.Random(777)
     hnf_checked = snf_checked = sat_checked = 0
     for i in range(1000):
@@ -270,8 +273,8 @@ def test_criterion_9_kernel_properties():
             snf_checked += 1
 
         lat = IntegerLattice(n, mat)
-        sat = lat.saturation()
-        assert sat.saturation() == sat
+        sat = saturation(lat)
+        assert saturation(sat) == sat
         assert lat.orthogonal_complement().orthogonal_complement() == sat
         assert sat.contains_lattice(lat)
         sat_checked += 1

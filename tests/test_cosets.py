@@ -11,8 +11,10 @@ from torsioncosets.cosets import (
     maximal_filter,
     solve_exponent_congruences,
 )
-from torsioncosets.lattices import IntegerLattice, determinant, identity_matrix
+from torsioncosets.lattices import IntegerLattice, identity_matrix
 from torsioncosets.poly import LaurentPolynomial
+
+from lattice_references import determinant
 
 L = LaurentPolynomial
 

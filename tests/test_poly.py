@@ -659,6 +659,16 @@ def test_multivariate_gcd_random_products():
         assert d.divide_exact(a) is not None
         assert (a * b).divide_exact(d) is not None
         assert (a * c).divide_exact(d) is not None
+    # the common factor and one whole input free of y, the main variable:
+    # the gcd is the gcd of the contents in y
+    a = poly2({(1, 0): 1, (0, 0): 2})
+    b = poly2({(2, 0): 1, (0, 0): -3})
+    c = poly2({(1, 1): 1, (0, 2): 1, (0, 0): 1})
+    for f, g in ((a * b, a * c), (a * c, a * b)):
+        d = multivariate_gcd(f, g)
+        assert d.divide_exact(a).is_unit()
+        assert f.divide_exact(d) is not None
+        assert g.divide_exact(d) is not None
 
 
 def test_specialize_examples():
