@@ -285,8 +285,8 @@ def is_primitive_vector(a) -> bool:
 def extend_to_basis(a) -> list[list[int]]:
     """A unimodular matrix whose first row is the primitive vector a;
     the remaining rows are size-reduced against the earlier ones.  The
-    completion is pinned by tests: it sets the coordinates of every
-    slice, and so which variable the resultants eliminate."""
+    completion is pinned by tests.  It sets no slice coordinates: the
+    solver restricts to a coset through the coset's exponent matrix."""
     a = list(a)
     n = len(a)
     if not is_primitive_vector(a):

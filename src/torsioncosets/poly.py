@@ -3,19 +3,18 @@
 Polynomials are finitely supported maps from integer exponent vectors to
 nonzero CyclotomicNumber coefficients.  The module provides the
 structural operations the torsion-coset machinery needs: support and
-exponent-lattice extraction, images under monoidal (unimodular)
-coordinate changes, multi-prime modular Sylvester resultants,
+exponent-lattice extraction, multi-prime modular Sylvester resultants,
 multivariate gcd, and exact root-of-unity root finding for univariate
 inputs.  LaurentPolynomial.slice_values is the one exact evaluation at
 a torsion point: the terms with equal e * G^T form a slice, and each
 slice sums into one integer accumulator at level lcm(N, m), reduced
-modulo Phi_lcm(N, m) once.  evaluate (no slice rows), specialize and
-scale_variables (identity rows) and TorsionCoset.lies_on (the coset's
-exponent matrix) are calls to it; vanishes_at is the zero test of
-evaluate, and sign_variant only negates terms.  The univariate layer
-works modulo one prime p = 1 (mod M) first: zeta_M -> w, a root of
-Phi_M mod p, is a ring map Z[zeta_M] -> F_p, so a nonzero residue
-proves a candidate root is none.  Only a zero residue goes on to
+modulo Phi_lcm(N, m) once.  evaluate (no slice rows), scale_variables
+(identity rows), TorsionCoset.lies_on and the solver's restriction to a
+coset (the coset's exponent matrix) are calls to it; vanishes_at is the
+zero test of evaluate, and sign_variant only negates terms.  The
+univariate layer works modulo one prime p = 1 (mod M) first: zeta_M ->
+w, a root of Phi_M mod p, is a ring map Z[zeta_M] -> F_p, so a nonzero
+residue proves a candidate root is none.  Only a zero residue goes on to
 vanishes_at.  cyclotomic_roots returns the roots alone; it builds no
 cyclotomic part.  Root finding needs no squarefree part;
 squarefree_part, which proves squarefreeness the same way by a nonzero
@@ -45,7 +44,6 @@ from .arith import (
 from .lattices import (
     IntegerLattice,
     identity_matrix,
-    mat_inverse_unimodular,
     min_assignment,
 )
 
@@ -272,30 +270,6 @@ class LaurentPolynomial:
 
     # ---- transformations -----------------------------------------------
 
-    def monoidal_image(self, u) -> "LaurentPolynomial":
-        """Image under the coordinate change Y_i = X^{u_i} for the rows
-        u_i of the unimodular matrix u: the term at exponent i moves to
-        the exponent j with j*u = i.  Raises ValueError when u is not
-        unimodular."""
-        return self._map_exponents(mat_inverse_unimodular([list(r) for r in u]))
-
-    def _map_exponents(self, m) -> "LaurentPolynomial":
-        # the term at exponent e moves to e * m
-        out = {}
-        for e, c in self.terms.items():
-            j = tuple(sum(e[k] * m[k][t] for k in range(self.nvars))
-                      for t in range(self.nvars))
-            out[j] = c
-        return LaurentPolynomial(self.nvars, out)
-
-    def specialize(self, point: TorsionPoint) -> "LaurentPolynomial":
-        """Exact specialization of the leading len(point) variables to
-        the coordinates of the point; the result lives in the remaining
-        variables (and may be identically zero)."""
-        k = len(point)
-        rows = identity_matrix(self.nvars)[k:]
-        return LaurentPolynomial(self.nvars - k, self.slice_values(point, rows))
-
     def scale_variables(self, roots) -> "LaurentPolynomial":
         """f(w_1 X_1, ..., w_n X_n) for roots of unity w_i."""
         return LaurentPolynomial(self.nvars, self.slice_values(
@@ -516,6 +490,16 @@ def _orders_with_phi_at_most(bound: int) -> list[int]:
 
 
 @cache
+def _candidate_orders(bound: int, level: int):
+    """(d, M = lcm(d, N), phi(M) / phi(N)) for the orders d with phi(d)
+    <= bound and N = level; phi(M) / phi(N) is [Q(zeta_M) : Q(zeta_N)]."""
+    phi_n = euler_phi(level)
+    return tuple((d, big, euler_phi(big) // phi_n)
+                 for d in _orders_with_phi_at_most(bound)
+                 for big in (lcm(d, level),))
+
+
+@cache
 def _unit_orbits(d: int, big: int, level: int):
     """Orbits of the primitive residues mod d under the Galois action
     that fixes Q(zeta_level): multiplication by {t mod d : t in
@@ -555,16 +539,13 @@ def cyclotomic_roots(g: LaurentPolynomial) -> list[RootOfUnity]:
     hpoly, _ = g.strip_monomial_content()
     level = hpoly.coefficient_level()
     deg = hpoly.degree_in(0)
-    phi_n = euler_phi(level)
     den = lcm(*(c.den for c in hpoly.terms.values()))
     roots: list[RootOfUnity] = []
     found_degree = 0
-    for d in _orders_with_phi_at_most(deg * phi_n):
+    for d, big, degree in _candidate_orders(deg * euler_phi(level), level):
         if found_degree >= deg:
             break
-        big = lcm(d, level)
-        # phi(M) / phi(N): the degree of zeta_d over Q(zeta_N)
-        if found_degree + euler_phi(big) // phi_n > deg:
+        if found_degree + degree > deg:
             continue
         p, w = _kernel_prime(big)
         imgs = [0] * (deg + 1)

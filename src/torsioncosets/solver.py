@@ -10,8 +10,10 @@ rank and then to all of Z^n through an isogeny pullback, builds the
 auxiliary family of twisted polynomials (sign twists, squared twists and
 Galois twists, depending on the coefficient field), eliminates one
 variable by resultants, and recurses on the candidate projections.
-General systems recurse through slices of the first hypersurface's
-positive-dimensional cosets.
+The cosets above each candidate, and those of a system inside each
+positive-dimensional coset of its first hypersurface, come from one
+restriction to a torsion coset, through slice_values at the coset's
+exponent matrix, solved in dim(coset) variables and lifted back.
 
 Both lattice reductions are integer coordinate changes read off one
 Hermite normal form: the HNF of the transposed support drops every
@@ -43,10 +45,9 @@ from .cosets import (
 )
 from .lattices import (
     IntegerLattice,
-    extend_to_basis,
     hermite_normal_form,
     identity_matrix,
-    mat_inverse_unimodular,
+    mat_mul,
     transpose,
 )
 from .poly import (
@@ -433,7 +434,6 @@ def _solve_full_lattice(f: LaurentPolynomial, stats: SolveStats,
             raise RuntimeError("internal error: split factor does not divide f")
         return (_solve_hypersurface(aux, stats, depth + 1)
                 + _solve_hypersurface(h, stats, depth + 1))
-    var = n - 1
     candidates: dict = {}
     seen_resultants: set = set()
     stats.resultants += len(aux)
@@ -451,60 +451,37 @@ def _solve_full_lattice(f: LaurentPolynomial, stats: SolveStats,
             candidates.setdefault(c.int_key(), c)
     results: list[TorsionCoset] = []
     for cand in sorted(candidates.values(), key=TorsionCoset.sort_key):
-        if cand.dimension == 0:
-            results.extend(_fiber_points(f, cand.point, var))
-        else:
-            a = _primitive_member(cand.lattice)
-            results.extend(_slice_and_lift([f], a + [0], cand.point.power(a),
-                                           stats, depth))
+        # the preimage of the candidate under the projection dropping X_n
+        preimage = TorsionCoset(
+            TorsionPoint(cand.point.nums + (0,), cand.point.order),
+            IntegerLattice(n, [list(r) + [0] for r in cand.lattice.rows]))
+        results.extend(_restrict_and_lift([f], preimage, stats, depth))
     return maximal_filter(results)
 
 
-def _fiber_points(f: LaurentPolynomial, zeta: TorsionPoint, var: int):
-    """Step from a candidate projected point to the cosets of H(f) above
-    it: the full fiber line when the specialization is identically zero,
-    else the torsion roots of the univariate fiber polynomial."""
-    n = f.nvars
-    h = f.specialize(zeta)
-    if h.is_zero():
-        point = TorsionPoint(zeta.nums + (0,), zeta.order)
-        return [TorsionCoset(point, IntegerLattice(n, identity_matrix(n)[:-1]))]
-    return [TorsionCoset.from_point(TorsionPoint(list(zeta) + [w]))
-            for w in cyclotomic_roots(h)]
-
-
-def _primitive_member(lattice: IntegerLattice):
-    row = list(lattice.rows[0])
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-    return [x // g for x in row]
-
-
-def _slice_and_lift(system, a, omega: RootOfUnity, stats: SolveStats,
-                    depth: int) -> list[TorsionCoset]:
-    """Cosets of the system's variety on the slice X^a = omega, for a
-    primitive a: pass to coordinates whose first is Y_1 = X^a, freeze
-    Y_1 = omega, solve the images in one fewer variables and lift back.
-    When every image vanishes the whole slice lies on the variety and
-    is returned."""
-    n = len(a)
-    u = extend_to_basis(a)
-    back = mat_inverse_unimodular(u)
-    images = [p._map_exponents(back).specialize(TorsionPoint([omega]))
+def _restrict_and_lift(system, coset: TorsionCoset, stats: SolveStats,
+                       depth: int) -> list[TorsionCoset]:
+    """Cosets of the system's variety inside a torsion coset w * H_A of
+    positive dimension d.  The rows of G = coset.exponent_matrix() are a
+    basis of the primitive lattice A^perp, so e -> G e maps Z^n onto Z^d
+    with kernel A, and t -> w * t^G is an isomorphism of G_m^d onto the
+    coset, under which f restricts to sum_k (sum_{G e = k} c_e w^e) t^k:
+    its coefficients are f.slice_values(w, G).  When every restriction is
+    zero the coset itself is returned.  A solved coset u * H_B maps onto
+    w * u^G times the subtorus of the characters e with G e in B; as B is
+    primitive, that is G e orthogonal to the rows of E = exponent_matrix()
+    of the solved coset, so its lattice is (E G)^perp."""
+    n, g = coset.ambient, coset.exponent_matrix()
+    images = [LaurentPolynomial(len(g), p.slice_values(coset.point, g))
               for p in system]
     images = [p for p in images if not p.is_zero()]
-    first_row = [1] + [0] * (n - 1)
     if not images:
-        point = TorsionPoint([omega] + [RootOfUnity.one()] * (n - 1))
-        return [TorsionCoset(point, IntegerLattice(n, [first_row]))
-                .transform(back)]
-    out = []
-    for e in _solve_variety(images, stats, depth + 1):
-        point = TorsionPoint([omega] + list(e.point))
-        rows = [first_row] + [[0] + list(r) for r in e.lattice.rows]
-        out.append(TorsionCoset(point, IntegerLattice(n, rows)).transform(back))
-    return out
+        return [coset]
+    gt = transpose(g)
+    return [TorsionCoset(coset.point * c.point.powers(gt),
+                         IntegerLattice(n, mat_mul(c.exponent_matrix(), g))
+                         .orthogonal_complement())
+            for c in _solve_variety(images, stats, depth + 1)]
 
 
 def _certify(cosets, polys, stats: SolveStats) -> list[bool]:
@@ -564,12 +541,10 @@ def _solve_variety(system, stats: SolveStats, depth: int):
     base = _solve_hypersurface(first, stats, depth)
     results = []
     for c in base:
-        if c.lies_on(rest):
+        if c.dimension:
+            results.extend(_restrict_and_lift(rest, c, stats, depth))
+        elif c.lies_on(rest):
             results.append(c)
-        elif c.dimension:
-            a = _primitive_member(c.lattice)
-            results.extend(_slice_and_lift(system, a, c.point.power(a),
-                                           stats, depth))
     return maximal_filter(results)
 
 

@@ -199,12 +199,13 @@ def test_criterion_6_randomized_completeness():
 
 
 def test_criterion_7_monoidal_equivariance():
+    from poly_references import monoidal_image
     rng = random.Random(31337)
     pool = _random_unimodular_pool()
     for i in range(50):
         f = _random_full_lattice_input(rng, 2)
         u = pool[rng.randrange(len(pool))]
-        fu = f.monoidal_image(u)
+        fu = monoidal_image(f, u)
         keys_direct = {c.canonical_key()
                        for c in hypersurface_cosets(fu).cosets}
         keys_transformed = {c.transform(u).canonical_key()

@@ -21,6 +21,8 @@ from torsioncosets.lattices import extend_to_basis
 from torsioncosets.poly import LaurentPolynomial, cyclotomic_roots
 from torsioncosets.solver import _primitive_directions, binomial_cosets
 
+from poly_references import map_exponents, monoidal_image, specialize
+
 L = LaurentPolynomial
 
 
@@ -37,7 +39,7 @@ def reference_binomial_cosets(f):
         if work.is_unit():
             break
         u = extend_to_basis(list(a))
-        work_u = work.monoidal_image(u)
+        work_u = monoidal_image(work, u)
         coeffs = work_u.coefficients_in(0)
         if len(coeffs) < 2:
             # single power of Y1: no binomial factor in this direction
@@ -54,7 +56,7 @@ def reference_binomial_cosets(f):
         changed = False
         for w in roots:
             at_w = TorsionPoint([w])
-            if not work_u.specialize(at_w).is_zero():
+            if not specialize(work_u, at_w).is_zero():
                 continue
             found.append(TorsionCoset.from_binomial(a, w))
             divisor = LaurentPolynomial(
@@ -67,10 +69,10 @@ def reference_binomial_cosets(f):
                                        "does not divide")
                 work_u = quot
                 changed = True
-                if work_u.is_unit() or not work_u.specialize(at_w).is_zero():
+                if work_u.is_unit() or not specialize(work_u, at_w).is_zero():
                     break
         if changed:
-            work, _ = work_u._map_exponents(u).strip_monomial_content()
+            work, _ = map_exponents(work_u, u).strip_monomial_content()
     return found, work
 
 

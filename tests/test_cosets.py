@@ -15,6 +15,7 @@ from torsioncosets.lattices import IntegerLattice, identity_matrix
 from torsioncosets.poly import LaurentPolynomial
 
 from lattice_references import determinant
+from poly_references import monoidal_image
 
 L = LaurentPolynomial
 
@@ -139,7 +140,7 @@ def test_transform_commutes_with_lies_on():
                 for k in range(2):
                     u[i][k] += f * u[j][k]
         cu = c.transform(u)
-        fu = xy_minus_1.monoidal_image(u)
+        fu = monoidal_image(xy_minus_1, u)
         assert cu.lies_on([fu]) == c.lies_on([xy_minus_1])
         assert cu.lies_on([fu])
 

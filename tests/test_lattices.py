@@ -22,6 +22,7 @@ from torsioncosets.poly import LaurentPolynomial
 from torsioncosets.solver import rescale_to_full_lattice
 
 from lattice_references import determinant, saturation
+from poly_references import monoidal_image
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -419,7 +420,7 @@ def test_non_unimodular_input_raises(u):
         mat_inverse_unimodular(u)
     f = LaurentPolynomial(n, {(0,) * n: 1, (1,) + (0,) * (n - 1): 1})
     with pytest.raises(ValueError, match="not unimodular"):
-        f.monoidal_image(u)
+        monoidal_image(f, u)
     coset = TorsionCoset.from_point(TorsionPoint([Fraction(1, 2)] * n))
     with pytest.raises(ValueError, match="not unimodular"):
         coset.transform(u)

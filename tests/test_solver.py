@@ -143,6 +143,7 @@ def test_rescale_to_full_lattice_examples():
 def _disguised_rank_deficient(rng, n, r, level):
     # a polynomial in r variables with unit coefficients, embedded in n
     # variables, moved by a random unimodular image and a monomial shift
+    from poly_references import monoidal_image
     while True:
         terms = {}
         for _ in range(rng.randint(2, 3)):
@@ -159,7 +160,7 @@ def _disguised_rank_deficient(rng, n, r, level):
         u[i] = [x + c * y for x, y in zip(u[i], u[j])]
     shift = [rng.randint(-2, 2) for _ in range(n)]
     return L(n, {tuple(x + s for x, s in zip(e, shift)): c
-                 for e, c in g.monoidal_image(u).terms.items()})
+                 for e, c in monoidal_image(g, u).terms.items()})
 
 
 def test_reduce_rank_deficient_sweep():
@@ -557,6 +558,7 @@ def test_variety_with_positive_dimensional_intersection():
 
 
 def test_monoidal_equivariance_small():
+    from poly_references import monoidal_image
     rng = random.Random(71)
     f = fermat_line()
     for _ in range(6):
@@ -567,7 +569,7 @@ def test_monoidal_equivariance_small():
                 c = rng.randint(-2, 2)
                 for k in range(2):
                     u[i][k] += c * u[j][k]
-        fu = f.monoidal_image(u)
+        fu = monoidal_image(f, u)
         rep_u = hypersurface_cosets(fu)
         rep = hypersurface_cosets(f)
         transformed = {c.transform(u).canonical_key() for c in rep.cosets}
@@ -621,12 +623,13 @@ def test_identically_zero_fiber_three_vars():
     assert cross_check(rep, [f], 8).passed
 
 
-def test_slice_and_lift_whole_slice():
-    # x*y - 1 vanishes on the whole slice x*y = 1: the slice itself is
+def test_restrict_and_lift_whole_coset():
+    # x*y - 1 vanishes on the whole coset x*y = 1: the coset itself is
     # returned, without a sub-solve
     stats = solver.SolveStats()
-    out = solver._slice_and_lift([poly2({(1, 1): 1, (0, 0): -1})], [1, 1],
-                                 RootOfUnity.one(), stats, 0)
+    coset = TorsionCoset.from_binomial([1, 1], RootOfUnity.one())
+    out = solver._restrict_and_lift([poly2({(1, 1): 1, (0, 0): -1})], coset,
+                                    stats, 0)
     assert out == [TorsionCoset.from_binomial([1, 1], RootOfUnity.one())]
     assert stats.subsolves == 0
 
