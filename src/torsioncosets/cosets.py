@@ -1,6 +1,6 @@
 """Torsion cosets of the algebraic torus: canonical forms, containment,
-maximality filtering, monoidal transport, slice-based variety
-membership, and torsion solutions of exponent congruences.
+maximality filtering, slice-based variety membership, and torsion
+solutions of exponent congruences.
 
 A torsion coset w * H_A is stored as its torsion point w together with
 the primitive integer lattice A defining the subtorus
@@ -18,7 +18,6 @@ from .lattices import (
     IntegerLattice,
     _smith_diagonalize,
     mat_inverse_unimodular,
-    mat_mul,
     xgcd,
 )
 
@@ -124,15 +123,6 @@ class TorsionCoset:
 
     def contains_point(self, point: TorsionPoint) -> bool:
         return TorsionCoset.from_point(point).is_subcoset_of(self)
-
-    def transform(self, u) -> "TorsionCoset":
-        """The image coset under the monoidal transformation of the
-        unimodular matrix u (rows u_i): the point maps to (w^{u_1}, ...,
-        w^{u_n}) and the lattice to A * u^{-1}."""
-        v = mat_inverse_unimodular([list(r) for r in u])
-        point = self.point.powers(u)
-        rows = mat_mul(self.lattice.rows, v)
-        return TorsionCoset(point, IntegerLattice(self.ambient, rows))
 
     def translate(self, shift: TorsionPoint) -> "TorsionCoset":
         return TorsionCoset(self.point * shift, self.lattice)

@@ -199,7 +199,7 @@ def test_criterion_6_randomized_completeness():
 
 
 def test_criterion_7_monoidal_equivariance():
-    from poly_references import monoidal_image
+    from poly_references import monoidal_image, transform
     rng = random.Random(31337)
     pool = _random_unimodular_pool()
     for i in range(50):
@@ -208,7 +208,7 @@ def test_criterion_7_monoidal_equivariance():
         fu = monoidal_image(f, u)
         keys_direct = {c.canonical_key()
                        for c in hypersurface_cosets(fu).cosets}
-        keys_transformed = {c.transform(u).canonical_key()
+        keys_transformed = {transform(c, u).canonical_key()
                             for c in hypersurface_cosets(f).cosets}
         assert keys_direct == keys_transformed, (f, u)
     _report("7 monoidal equivariance", "50 (f, U) pairs, exact key equality")

@@ -22,7 +22,7 @@ from torsioncosets.poly import LaurentPolynomial
 from torsioncosets.solver import rescale_to_full_lattice
 
 from lattice_references import determinant, saturation
-from poly_references import monoidal_image
+from poly_references import monoidal_image, transform
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -266,7 +266,8 @@ def test_congruence_homogeneous_part_is_saturation():
 
 
 def test_rescale_index_is_lattice_determinant():
-    # the isogeny index is the product of the HNF pivots of L(f)
+    # at full rank the isogeny X -> X^A has |det L(f)| points above the
+    # identity of f*'s torus
     rng = random.Random(19)
     done = 0
     while done < 60:
@@ -279,7 +280,10 @@ def test_rescale_index_is_lattice_determinant():
             continue
         done += 1
         det = abs(determinant([list(r) for r in lat.rows]))
-        assert rescale_to_full_lattice(f)[2] == det
+        fstar, pullback = rescale_to_full_lattice(f)
+        kernel = pullback([TorsionCoset.from_point(TorsionPoint.ones(n))])
+        assert len(kernel) == det
+        assert all(c.dimension == 0 for c in kernel)
 
 
 def test_saturation_examples():
@@ -423,7 +427,7 @@ def test_non_unimodular_input_raises(u):
         monoidal_image(f, u)
     coset = TorsionCoset.from_point(TorsionPoint([Fraction(1, 2)] * n))
     with pytest.raises(ValueError, match="not unimodular"):
-        coset.transform(u)
+        transform(coset, u)
 
 
 def test_min_assignment_matches_brute_force():

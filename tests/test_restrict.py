@@ -35,7 +35,7 @@ from torsioncosets.solver import (
     variety_cosets,
 )
 
-from poly_references import map_exponents, specialize
+from poly_references import map_exponents, specialize, transform
 
 L = LaurentPolynomial
 LEVELS = (1, 3, 4, 12)
@@ -69,13 +69,14 @@ def reference_slice_and_lift(system, a, omega, stats, depth):
     first_row = [1] + [0] * (n - 1)
     if not images:
         point = TorsionPoint([omega] + [RootOfUnity.one()] * (n - 1))
-        return [TorsionCoset(point, IntegerLattice(n, [first_row]))
-                .transform(back)]
+        return [transform(TorsionCoset(point, IntegerLattice(n, [first_row])),
+                          back)]
     out = []
     for e in _solve_variety(images, stats, depth + 1):
         point = TorsionPoint([omega] + list(e.point))
         rows = [first_row] + [[0] + list(r) for r in e.lattice.rows]
-        out.append(TorsionCoset(point, IntegerLattice(n, rows)).transform(back))
+        coset = TorsionCoset(point, IntegerLattice(n, rows))
+        out.append(transform(coset, back))
     return out
 
 

@@ -17,8 +17,17 @@ from torsioncosets.arith import (
     TorsionPoint,
     euler_phi,
 )
-from torsioncosets.cosets import TorsionCoset
-from torsioncosets.lattices import IntegerLattice, identity_matrix
+from torsioncosets.cosets import (
+    TorsionCoset,
+    maximal_filter,
+    solve_exponent_congruences,
+)
+from torsioncosets.lattices import (
+    IntegerLattice,
+    hermite_normal_form,
+    identity_matrix,
+    transpose,
+)
 from torsioncosets.oracle import cross_check
 from torsioncosets.poly import LaurentPolynomial, multivariate_gcd
 from torsioncosets.solver import (
@@ -124,30 +133,44 @@ def test_reduce_rank_deficient_line():
     assert c.point.power((1, -1)).exponent == Fraction(1, 2)
 
 
+def _identity_preimage(fstar, pullback):
+    # the cosets above f*'s identity point: the kernel of X -> X^A
+    return pullback([TorsionCoset.from_point(TorsionPoint.ones(fstar.nvars))])
+
+
 def test_rescale_to_full_lattice_examples():
     f = poly2({(2, 0): 1, (0, 2): 1, (0, 0): 1})  # x^2 + y^2 + 1
-    fstar, pullback, det = rescale_to_full_lattice(f)
-    assert det == 4
+    fstar, pullback = rescale_to_full_lattice(f)
+    assert len(_identity_preimage(fstar, pullback)) == 4
     assert fstar == poly2({(1, 0): 1, (0, 1): 1, (0, 0): 1})
 
     f2 = poly2({(2, 2): 1, (2, 0): 1, (0, 2): 1})  # x^2y^2 + x^2 + y^2
-    fstar2, _, det2 = rescale_to_full_lattice(f2)
-    assert det2 == 4
+    fstar2, pullback2 = rescale_to_full_lattice(f2)
+    assert len(_identity_preimage(fstar2, pullback2)) == 4
     work, _ = fstar2.strip_monomial_content()
     assert work == poly2({(1, 1): 1, (1, 0): 1, (0, 1): 1})
 
-    with pytest.raises(ValueError):
-        rescale_to_full_lattice(poly2({(1, 0): 1, (0, 0): 1}))
+    # rank 1 in 2 variables: x + 1 becomes t + 1, and its root lifts to
+    # the line x = -1
+    fstar3, pullback3 = rescale_to_full_lattice(poly2({(1, 0): 1, (0, 0): 1}))
+    assert fstar3 == L(1, {(1,): 1, (0,): 1})
+    [line] = pullback3(hypersurface_cosets(fstar3).cosets)
+    assert line.lattice.rows == ((1, 0),)
+    assert line.point.power((1, 0)).exponent == Fraction(1, 2)
 
 
-def _disguised_rank_deficient(rng, n, r, level):
+def _disguised_rank_deficient(rng, n, r, level, stretch=1):
     # a polynomial in r variables with unit coefficients, embedded in n
-    # variables, moved by a random unimodular image and a monomial shift
+    # variables, moved by a random unimodular image and a monomial shift;
+    # stretch multiplies the first exponent, so that L(f) has index at
+    # least stretch in its saturation; the term count grows with r, as
+    # rank r needs r + 1 terms
     from poly_references import monoidal_image
     while True:
         terms = {}
-        for _ in range(rng.randint(2, 3)):
-            e = tuple(rng.randint(0, 3) for _ in range(r)) + (0,) * (n - r)
+        for _ in range(rng.randint(2, 3) + max(0, r - 2)):
+            e = tuple(rng.randint(0, 3) * (stretch if i == 0 else 1)
+                      for i in range(r)) + (0,) * (n - r)
             terms[e] = (CyclotomicNumber.zeta(level, rng.randrange(level))
                         * rng.choice((1, -1)))
         g = L(n, terms)
@@ -164,20 +187,159 @@ def _disguised_rank_deficient(rng, n, r, level):
 
 
 def test_reduce_rank_deficient_sweep():
-    # one HNF step drops all n - r variables at once, also n - r = 2, 3
+    # one isogeny step drops all n - r variables at once, also
+    # n - r = 2, 3
     rng = random.Random(8128)
     with_cosets = 0
     for n, r, level in itertools.product((3, 4), (1, 2), (1, 3, 4)):
         f = _disguised_rank_deficient(rng, n, r, level)
-        fstar, lift = reduce_rank_deficient(f)
+        fstar, lift = rescale_to_full_lattice(f)
         assert fstar.nvars == r
-        assert fstar.exponent_lattice().rank == r
+        assert fstar.exponent_lattice() == IntegerLattice.full(r)
         lifted = lift(hypersurface_cosets(fstar).cosets)
         assert all(c.dimension >= n - r and c.lies_on([f]) for c in lifted)
         with_cosets += bool(lifted)
         rep = hypersurface_cosets(f)
         assert cross_check(rep, [f], 12).passed
     assert with_cosets >= 6
+
+
+# The two isogeny routines the one rescale replaced, kept verbatim as
+# references, with poly_references.transform for the former
+# TorsionCoset.transform and math.prod for the bare prod.
+
+
+def reference_anchor_shift(f):
+    # translate the support so that it lies inside the exponent lattice
+    anchor = sorted(f.terms)[0]
+    if not any(anchor):
+        return f
+    return LaurentPolynomial(
+        f.nvars,
+        {tuple(x - a for x, a in zip(e, anchor)): c for e, c in f.terms.items()})
+
+
+def reference_reduce_rank_deficient(f):
+    """For rank L(f) = r < n, produce the r-variable polynomial whose
+    cosets lift to the cosets of f, together with the lift map (each
+    lifted coset gains n - r free directions).  With T unimodular and
+    T * S^T = [H; 0] the row HNF of the transposed support S, the
+    coordinate change X_i = Y^(T^T)_i moves the term at e to (T e)[:r],
+    free of Y_(r+1), ..., Y_n; the lift pads a coset with those free
+    coordinates and transforms it by T^T."""
+    from poly_references import transform
+    work = reference_anchor_shift(f)
+    n = work.nvars
+    h, t = hermite_normal_form(transpose(sorted(work.terms)))
+    r = len(h)
+    reduced = {}
+    for e, c in work.terms.items():
+        image = [sum(x * y for x, y in zip(row, e)) for row in t]
+        if any(image[r:]):
+            raise RuntimeError("internal error: support outside the span "
+                               "of the HNF rows")
+        reduced[tuple(image[:r])] = c
+    back = transpose(t)
+    pad = (0,) * (n - r)
+
+    def lift(cosets):
+        return [transform(
+                    TorsionCoset(TorsionPoint(c.point.nums + pad, c.point.order),
+                                 IntegerLattice(n, [list(row) + [0] * (n - r)
+                                                    for row in c.lattice.rows])),
+                    back) for c in cosets]
+
+    return LaurentPolynomial(r, reduced), lift
+
+
+def reference_rescale_to_full_lattice(f):
+    """For rank L(f) = n with L(f) a proper sublattice of Z^n, rewrite
+    each exponent e = sum c_i a_i by its integer coordinates c over the
+    HNF rows a_i of L(f), which are its polar coordinates <e, a*_i>, so
+    that the new polynomial has exponent lattice Z^n; its cosets pull
+    back through the isogeny, det(L(f)) classes at a time."""
+    n = f.nvars
+    work = reference_anchor_shift(f)
+    lat = work.exponent_lattice()
+    if lat.rank != n:
+        raise ValueError("exponent lattice must have full rank")
+    a_rows = [list(r) for r in lat.rows]
+    out = {}
+    for e, c in work.terms.items():
+        coords = lat.coefficients(e)
+        if coords is None:
+            raise RuntimeError("internal error: exponent outside the "
+                               "exponent lattice")
+        out[tuple(coords)] = c
+    fstar = LaurentPolynomial(n, out)
+
+    def pullback(cosets):
+        results = []
+        for c in cosets:
+            rows, m, nums = c.int_key()
+            constraint = [[sum(b[i] * a_rows[i][j] for i in range(n))
+                           for j in range(n)] for b in rows]
+            sol = solve_exponent_congruences(constraint, TorsionPoint(nums, m))
+            if not sol.consistent:
+                raise RuntimeError("internal error: inconsistent isogeny "
+                                   "pullback")
+            results.extend(sol.cosets())
+        return results
+
+    return fstar, pullback, math.prod(a_rows[i][i] for i in range(n))
+
+
+def reference_two_step(f):
+    # the two isogeny steps the one rescale replaced: drop the variables
+    # missing from L(f), then rescale the full-rank lattice to Z^r
+    work = reference_anchor_shift(f)
+    lat = work.exponent_lattice()
+    if lat.rank < f.nvars:
+        fstar, lift = reference_reduce_rank_deficient(work)
+        return maximal_filter(lift(reference_two_step(fstar)))
+    if lat != IntegerLattice.full(f.nvars):
+        fstar, pullback, _ = reference_rescale_to_full_lattice(work)
+        return maximal_filter(pullback(hypersurface_cosets(fstar).cosets))
+    return hypersurface_cosets(work).cosets
+
+
+def test_one_isogeny_step_matches_two_step_reference():
+    # every rank r = 1..n for n = 2..4, with planted index > 1.  Below
+    # full rank, the cosets of f* lifted by the one pullback equal those
+    # of the former two-step route through a rank-deficient reduction
+    # and a full-rank rescale.  At full rank the step is the reference
+    # rescale, so f* and the pullback of probe points are compared
+    # instead of a solve, which takes 10-40 s on these disguised inputs
+    # at n = 3, 4.
+    from lattice_references import saturation
+    rng = random.Random(2020)
+    deficient_with_index = 0
+    for n in (2, 3, 4):
+        for r, level in itertools.product(range(1, n + 1), (1, 3, 4, 12)):
+            stretch = {1: 1, 3: 2, 4: 3, 12: 2}[level]
+            f = _disguised_rank_deficient(rng, n, r, level, stretch)
+            lat = f.exponent_lattice()
+            assert lat.rank == r
+            fstar, pullback = rescale_to_full_lattice(f)
+            assert fstar.exponent_lattice() == IntegerLattice.full(r)
+            if r == n:
+                ref_fstar, ref_pullback, _ = \
+                    reference_rescale_to_full_lattice(f)
+                assert fstar == ref_fstar
+                probe = [TorsionCoset.from_point(TorsionPoint(
+                    [rng.randrange(12) for _ in range(n)], 12))
+                    for _ in range(3)]
+                assert (sorted(c.canonical_key() for c in pullback(probe))
+                        == sorted(c.canonical_key()
+                                  for c in ref_pullback(probe)))
+                continue
+            lifted = maximal_filter(pullback(hypersurface_cosets(fstar).cosets))
+            reference = reference_two_step(f)
+            assert ([c.canonical_key() for c in lifted]
+                    == [c.canonical_key() for c in reference]), (f, n, r)
+            assert cross_check(hypersurface_cosets(f), [f], 12).passed
+            deficient_with_index += saturation(lat) != lat
+    assert deficient_with_index >= 6
 
 
 def test_minimal_level_normalize_examples():
@@ -558,7 +720,7 @@ def test_variety_with_positive_dimensional_intersection():
 
 
 def test_monoidal_equivariance_small():
-    from poly_references import monoidal_image
+    from poly_references import monoidal_image, transform
     rng = random.Random(71)
     f = fermat_line()
     for _ in range(6):
@@ -572,7 +734,7 @@ def test_monoidal_equivariance_small():
         fu = monoidal_image(f, u)
         rep_u = hypersurface_cosets(fu)
         rep = hypersurface_cosets(f)
-        transformed = {c.transform(u).canonical_key() for c in rep.cosets}
+        transformed = {transform(c, u).canonical_key() for c in rep.cosets}
         assert transformed == {c.canonical_key() for c in rep_u.cosets}
 
 
