@@ -323,11 +323,14 @@ def parse_system(text: str) -> SystemDocument:
 # output
 
 
+def point_to_json(point: TorsionPoint) -> list[list[str]]:
+    return [[str(a), str(b)] for a, b in lowest_terms(point.nums, point.order)]
+
+
 def coset_to_json(coset: TorsionCoset, certified: bool) -> dict:
     return {
         "dim": coset.dimension,
-        "point": [[str(a), str(b)] for a, b
-                  in lowest_terms(coset.point.nums, coset.point.order)],
+        "point": point_to_json(coset.point),
         "lattice": [list(row) for row in coset.lattice.rows],
         "certified": bool(certified),
     }
@@ -417,8 +420,7 @@ def _cmd_verify(args) -> int:
         "oracle": {
             "maxOrder": oracle.max_order,
             "points": len(oracle.points),
-            "missed": [[str(w.numerator), str(w.order)]
-                       for p in oracle.missed_by_solver for w in p],
+            "missed": [point_to_json(p) for p in oracle.missed_by_solver],
             "spurious": [coset_to_json(c, False)
                          for c in oracle.spurious_cosets],
             "pass": oracle.passed,

@@ -17,7 +17,7 @@ u = 1 mod m), so every orbit has |H_m| = phi(m)/phi(gcd(m, N)) points.
 The scan tests the lex-least point of each orbit and emits the whole
 orbit when it vanishes.
 
-The exact test sums cached integer rows.  Let B = lcm(N_f, m), with N_f
+The test is exact and integer-only.  Let B = lcm(N_f, m), with N_f
 the lcm of f's stored coefficient levels and D the lcm of their
 denominators.  Then
 
@@ -26,14 +26,25 @@ denominators.  Then
 so the value at k depends on k only through the residues r_e.
 The row of a term e and a residue r holds the power-basis coordinates of
 D*c_e*zeta_B^(r*B/m), reduced modulo Phi_B; since Phi_B is monic they
-are integers.  A row is built the first time its (term, residue) pair
-is met and then reused for every later orbit representative of the same
-order, and a point is a zero exactly when the elementwise sum of its t
-rows, one per term, is all zero.  The test is exact: coordinates in the
-power basis 1, zeta_B, ..., zeta_B^(phi(B)-1) of Q(zeta_B) are unique,
-and the sum of the rows is the coordinate vector of D*f(zeta_m^k).
-cross_check's `tested` counts one decision per Galois orbit: the rows
-decide a representative, they do not change which points are tested.
+are integers.  A point is a zero exactly when the elementwise sum of its
+t rows, one per term, is all zero: coordinates in the power basis 1,
+zeta_B, ..., zeta_B^(phi(B)-1) of Q(zeta_B) are unique, and the sum of
+the rows is the coordinate vector of D*f(zeta_m^k).
+
+The scan decides the representatives in batches that share the first
+n - 1 coordinates, so that r_e = (e.prefix + e_n*k_n) mod m.  Each row
+also carries a fingerprint, its dot product with the fixed weights T^i
+mod P = 2^61 - 1; for each term one list operation maps the batch to
+the fingerprints of its residues, and the per-term lists are summed.
+The fingerprint is linear in the coordinates, so a zero sum of rows has
+a zero sum of fingerprints mod P whatever T and P are: no zero is lost.
+Only the points whose fingerprint sum is 0 mod P go on to the exact sum
+of rows, and only exact zeros are emitted.  A row and its fingerprint
+are built the first time their (term, residue) pair is met and then
+reused for every later representative of the same order.
+cross_check's `tested` counts one decision per Galois orbit: batches and
+fingerprints change how a representative is decided, not which points
+are tested.
 
 This module is the independent completeness reference for the solver,
 so it imports nothing from the library but `.arith`.
@@ -46,6 +57,24 @@ from math import gcd, lcm
 from operator import mul
 
 from .arith import TorsionPoint, _level, _prime_factors, euler_phi
+
+# fingerprint of a row: its dot product with the weights T^i mod P
+_MODULUS = (1 << 61) - 1  # P, a Mersenne prime
+_BASE = 0x2545F4914F6CDD1D % _MODULUS  # T
+_WEIGHTS = (1,)  # T^i mod P for i < len, shared by every order
+
+
+def _weights(length: int) -> tuple[int, ...]:
+    # at least `length` weights; a longer tuple replaces the cached one
+    # whole, so a concurrent scan never sees it half extended
+    global _WEIGHTS
+    weights = _WEIGHTS
+    if len(weights) < length:
+        weights = list(weights)
+        while len(weights) < length:
+            weights.append(weights[-1] * _BASE % _MODULUS)
+        _WEIGHTS = weights = tuple(weights)
+    return weights
 
 
 class BudgetExceededError(RuntimeError):
@@ -83,49 +112,76 @@ class OracleReport:
                 f"max_order={self.max_order}, tested={self.tested})")
 
 
+class _Residues(dict):
+    # one term's fingerprints by residue r; the row itself is kept in
+    # .rows.  A residue met for the first time builds both (see the
+    # module docstring)
+    __slots__ = ("level", "unit", "coeff_positions", "rows")
+
+    def __init__(self, level, unit: int, coeff_positions):
+        super().__init__()
+        self.level = level
+        self.unit = unit
+        self.coeff_positions = coeff_positions
+        self.rows = {}
+
+    def _row(self, r: int) -> list[int]:
+        # power-basis coordinates of den*c_e*zeta_big^(r*big/m) mod Phi_big
+        level = self.level
+        base = r * self.unit
+        row = [0] * level.phi
+        for p, c in self.coeff_positions:
+            for i, x in enumerate(level.power(base + p)):
+                if x:
+                    row[i] += c * x
+        return row
+
+    def __missing__(self, r: int) -> int:
+        row = self.rows[r] = self._row(r)
+        out = self[r] = sum(map(mul, row, _weights(len(row)))) % _MODULUS
+        return out
+
+
 class _CompiledPoly:
     # integer-only evaluation data for one polynomial at one point order m:
-    # per term, its exponent vector, its cleared coefficient as (position,
-    # value) pairs at level big = lcm(N_f, m), and its m residue rows,
-    # each built on first use (see the module docstring)
-    __slots__ = ("level", "unit", "terms")
+    # per term, its exponent vector split into the first n - 1 entries and
+    # the last, and its residue table at level big = lcm(N_f, m)
+    __slots__ = ("terms",)
 
     def __init__(self, f, m: int):
         big = lcm(_system_level([f]), m)
         den = 1
         for c in f.terms.values():
             den = lcm(den, c.den)
+        level, unit = _level(big), big // m
         terms = []
         for e, c in f.terms.items():
             mult = den // c.den
             step = big // c.level
             coeff_positions = tuple((k * step, x * mult)
                                     for k, x in enumerate(c.num) if x)
-            terms.append((e, coeff_positions, [None] * m))
-        self.level = _level(big)
-        self.unit = big // m
+            terms.append((e[:-1], e[-1],
+                          _Residues(level, unit, coeff_positions)))
         self.terms = terms
 
-    def _row(self, coeff_positions, r: int) -> list[int]:
-        # power-basis coordinates of den*c_e*zeta_big^(r*big/m) mod Phi_big
-        level = self.level
-        base = r * self.unit
-        row = [0] * level.phi
-        for p, c in coeff_positions:
-            for i, x in enumerate(level.power(base + p)):
-                if x:
-                    row[i] += c * x
-        return row
+    def zeros(self, prefix, lasts, m: int) -> list[int]:
+        """The k in lasts, in order, at which the polynomial vanishes at
+        the point (prefix, k)/m: a zero sum of fingerprints selects, the
+        exact sum of rows decides."""
+        if not self.terms:
+            return list(lasts)
+        bases = [sum(map(mul, head, prefix)) for head, _, _ in self.terms]
+        prints = [[table[(b + last * k) % m] for k in lasts]
+                  for b, (_, last, table) in zip(bases, self.terms)]
+        modulus = _MODULUS
+        selected = [k for k, s in zip(lasts, map(sum, zip(*prints)))
+                    if not s % modulus]
+        return [k for k in selected if not any(map(sum, zip(*(
+            table.rows[(b + last * k) % m]
+            for b, (_, last, table) in zip(bases, self.terms)))))]
 
     def vanishes(self, k, m: int) -> bool:
-        rows = []
-        for e, coeff_positions, table in self.terms:
-            r = sum(map(mul, e, k)) % m
-            row = table[r]
-            if row is None:
-                row = table[r] = self._row(coeff_positions, r)
-            rows.append(row)
-        return not any(map(sum, zip(*rows)))
+        return bool(self.zeros(k[:-1], k[-1:], m))
 
 
 def _jordan_totient(n: int, m: int) -> int:
@@ -152,36 +208,48 @@ def _units(m: int, c: int) -> list[int]:
     return [u for u in range(m) if gcd(u, m) == 1 and (u - 1) % c == 0]
 
 
-def _orbit_representatives(n: int, m: int, level: int):
-    """Yield, in lex order, the lex-least point of each H_m-orbit of the
-    points k in (Z/m)^n of exact order m.
+def _orbit_representatives(n: int, m: int, group):
+    """Yield, in lex order, the lex-least point of each orbit of group,
+    the acting group H_m (see _units), on the points k in (Z/m)^n of
+    exact order m, in nonempty batches (prefix, lasts): the points
+    prefix + (v,) for v in lasts, with prefix the first n - 1 coordinates.
 
     A point is lex-least in its orbit exactly when each coordinate is
     least in its orbit under the stabilizer of the coordinates before
     it.  The stabilizer of a prefix with d = gcd(m, prefix) is the units
-    of H_m that are 1 modulo m/d, that is 1 modulo lcm(gcd(m, level),
-    m/d); once d = 1 it is trivial and the remaining coordinates are
-    free."""
-    g = gcd(m, level)
+    of the group that are 1 modulo m/d; once d = 1 it is trivial and the
+    remaining coordinates are free."""
     least = {}
 
     def orbit_least(c):
-        # residues mod m least in their orbit under the units = 1 mod c
+        # residues mod m least in their orbit under the units = 1 mod c:
+        # walking up, keep each unmarked v and mark its orbit
         out = least.get(c)
         if out is None:
-            group = _units(m, c)
-            out = least[c] = [v for v in range(m)
-                              if all(u * v % m >= v for u in group)]
+            units = [u for u in group if (u - 1) % c == 0]
+            marked = bytearray(m)
+            out = least[c] = []
+            for v in range(m):
+                if not marked[v]:
+                    out.append(v)
+                    for u in units:
+                        marked[u * v % m] = 1
         return out
 
     def extend(prefix, d):
-        rest = n - len(prefix)
-        if d == 1:
-            for tail in product(range(m), repeat=rest):
-                yield prefix + tail
-        elif rest:
-            for v in orbit_least(lcm(g, m // d)):
-                yield from extend(prefix + (v,), gcd(d, v))
+        if len(prefix) < n - 1:
+            if d == 1:
+                for head in product(range(m), repeat=n - 1 - len(prefix)):
+                    yield prefix + head, range(m)
+            else:
+                for v in orbit_least(m // d):
+                    yield from extend(prefix + (v,), gcd(d, v))
+        elif d == 1:
+            yield prefix, range(m)
+        else:
+            lasts = [v for v in orbit_least(m // d) if gcd(d, v) == 1]
+            if lasts:
+                yield prefix, lasts
 
     yield from extend((), m)
 
@@ -197,9 +265,9 @@ def brute_force_points(system, max_order: int,
     the points of exact order m: for u in H_m the t with t = 1 (mod N)
     and t = u (mod m) given by the CRT makes sigma_t fix the
     coefficients, and H_m acts freely (see the module docstring).  The
-    lex-least point of each orbit is tested, and the whole orbit
-    {u*k mod m}, phi(m)/phi(gcd(m, N)) points, is emitted when it
-    vanishes.
+    lex-least point of each orbit is tested, in batches over the last
+    coordinate, and the whole orbit {u*k mod m}, phi(m)/phi(gcd(m, N))
+    points, is emitted when it vanishes.
 
     Raises BudgetExceededError, before any polynomial is compiled, when
     the grid of points covered, the sum over m <= max_order of Jordan's
@@ -220,8 +288,13 @@ def brute_force_points(system, max_order: int,
     for m in range(1, max_order + 1):
         compiled = [_CompiledPoly(f, m) for f in system]
         group = _units(m, gcd(m, level))
-        for k in _orbit_representatives(n, m, level):
-            if all(c.vanishes(k, m) for c in compiled):
+        for prefix, lasts in _orbit_representatives(n, m, group):
+            for c in compiled:
+                lasts = c.zeros(prefix, lasts, m)
+                if not lasts:
+                    break
+            for v in lasts:
+                k = prefix + (v,)
                 found += [TorsionPoint([u * x for x in k], m)
                           for u in group]
     return sorted(found)

@@ -5,11 +5,13 @@ from math import gcd
 
 import pytest
 
+from torsioncosets import cli
 from torsioncosets.arith import CyclotomicNumber, euler_phi
 from torsioncosets.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_PARSE_ERROR,
+    EXIT_VERIFY_MISMATCH,
     ParseError,
     coset_from_json,
     parse_system,
@@ -17,7 +19,7 @@ from torsioncosets.cli import (
     run,
 )
 from torsioncosets.poly import LaurentPolynomial
-from torsioncosets.solver import hypersurface_cosets
+from torsioncosets.solver import SolveReport, SolveStats, hypersurface_cosets
 
 L = LaurentPolynomial
 
@@ -165,6 +167,62 @@ def test_cli_verify_reports_one_test_per_orbit(capsys, tmp_path):
     code = run(["verify", "--input", str(path), "--max-order", "12"])
     assert code == EXIT_OK
     assert f"({oracle['tested']} exact test(s))" in capsys.readouterr().out
+
+
+def test_cli_verify_lists_each_missed_point(capsys, tmp_path, monkeypatch):
+    # a solver that finds nothing misses both points of x + y = 1 up to
+    # order 12; "missed" lists them one by one, in the form of a coset's
+    # "point"
+    monkeypatch.setattr(cli, "_solve_document",
+                        lambda doc: SolveReport([], SolveStats(), []))
+    path = tmp_path / "system.txt"
+    path.write_text("vars: x y\npoly: x + y - 1\n")
+    code = run(["verify", "--input", str(path), "--max-order", "12",
+                "--format", "json"])
+    assert code == EXIT_VERIFY_MISMATCH
+    oracle = json.loads(capsys.readouterr().out)["oracle"]
+    assert oracle["pass"] is False
+    assert oracle["missed"] == [[["1", "6"], ["5", "6"]],
+                                [["5", "6"], ["1", "6"]]]
+
+
+# sha256 of `verify --format json` output: four seed-1 systems of the
+# verify-n3 benchmark at order 24 (levels 1, 3, 4 and 12; the first two
+# have 204 and 102 points) and a rank-2 hypersurface in four variables
+# at order 12 (640 points).  The bytes cover the solve part and the
+# oracle's "points", "tested" and "missed"
+VERIFY_JSON_DIGESTS = [
+    ("vars: x y w\nfield: 1\n"
+     "poly: 2*x^-2*y^1*w^3 + 2*x^-1*y^4*w^1 + 2*y^1*w^3\n", 24,
+     "bd598f26732c2b7c0a5f6fd42ffd73d3c7449b53af3a17bd5d5602d42d983e43"),
+    ("vars: x y w\nfield: 3\n"
+     "poly: - 3*x^2*y^2*w^5 - 1*z^1*x^2*y^2*w^5 - 1*x^3*y^1*w^4"
+     " - 2*x^5*y^1*w^4 - 2*z^1*x^5*y^1*w^4\n", 24,
+     "0380b4d3e2e557a9ce34d036af1265a1341d78468416add75f5851b6e1e4358f"),
+    ("vars: x y w\nfield: 4\n"
+     "poly: 1*z^1*x^-2*y^-2*w^-1 - 1*x^1*y^1*w^-1\n"
+     "poly: 1*z^1*x^2*y^-1*w^4 - 2*x^2*w^3\n", 24,
+     "eedb094dc543f309993a544fb89d4e91eb681226770c5ef13adbf80d27866c25"),
+    ("vars: x y w\nfield: 12\n"
+     "poly: 1*x^2*y^4 + 2*z^1*x^2*y^4 - 2*z^2*x^2*y^4 - 2*z^3*x^2*y^4"
+     " - 2*x^4*y^3*w^-1 - 1*z^3*x^4*y^3*w^-1 + 1*x^5*y^2 + 1*z^1*x^5*y^2"
+     " - 2*z^2*x^5*y^2 - 2*z^3*x^5*y^2\n", 24,
+     "b8e350b1a93826d3729f9a7a108e5577efa1f67228ed2ad8ccee483ce555a487"),
+    ("vars: x y w v\npoly: x^2*v^2 + y^2*w^2 + x*y*w*v + 1\n", 12,
+     "359ebc9494f541882b825ed6e4210265ac74f7ca5013d2e41032d696c91b259a"),
+]
+
+
+@pytest.mark.parametrize("text, max_order, digest", VERIFY_JSON_DIGESTS)
+def test_cli_verify_json_bytes(capsys, tmp_path, text, max_order, digest):
+    path = tmp_path / "system.txt"
+    path.write_text(text)
+    code = run(["verify", "--input", str(path), "--max-order",
+                str(max_order), "--format", "json"])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert json.loads(out)["oracle"]["missed"] == []
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_verify_budget(capsys, tmp_path):

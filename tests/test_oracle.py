@@ -5,12 +5,14 @@ from math import gcd, lcm
 
 import pytest
 
+from torsioncosets import oracle
 from torsioncosets.arith import CyclotomicNumber, TorsionPoint, _level, euler_phi
 from torsioncosets.cosets import TorsionCoset
 from torsioncosets.lattices import IntegerLattice
 from torsioncosets.oracle import (
     BudgetExceededError,
     _CompiledPoly,
+    _Residues,
     _orbit_representatives,
     _system_level,
     _units,
@@ -33,6 +35,13 @@ def fermat_line():
 
 def _exact_order_points(n, m):
     return [k for k in product(range(m), repeat=n) if gcd(m, *k) == 1]
+
+
+def _representatives(n, m, level):
+    # the orbit representatives one point at a time, out of their batches
+    group = _units(m, gcd(m, level))
+    return [prefix + (v,) for prefix, lasts
+            in _orbit_representatives(n, m, group) for v in lasts]
 
 
 def _grid_size(n, max_order):
@@ -261,7 +270,7 @@ def test_orbit_representatives_partition_exact_order_points():
             for m in range(1, 17):
                 group = _units(m, gcd(m, level))
                 assert len(group) == euler_phi(m) // euler_phi(gcd(m, level))
-                reps = list(_orbit_representatives(n, m, level))
+                reps = _representatives(n, m, level)
                 assert reps == sorted(reps)
                 covered = []
                 for k in reps:
@@ -273,9 +282,10 @@ def test_orbit_representatives_partition_exact_order_points():
 
 
 def test_representatives_are_yielded_lazily():
-    reps = _orbit_representatives(3, 24, 1)
-    assert next(reps) == (0, 0, 1)
-    assert next(reps) == (0, 1, 0)
+    reps = _orbit_representatives(3, 24, _units(24, 1))
+    assert next(reps) == ((0, 0), [1])
+    prefix, lasts = next(reps)
+    assert (prefix, list(lasts)) == ((0, 1), list(range(24)))
 
 
 def test_budget_boundary_is_the_jordan_totient_sum():
@@ -308,20 +318,20 @@ def test_over_budget_scan_compiles_and_tests_nothing(monkeypatch):
 
 
 def test_cross_check_counts_one_test_per_orbit(monkeypatch):
-    vanishes = _CompiledPoly.vanishes
+    zeros = _CompiledPoly.zeros
     calls = []
 
-    def counted(self, k, m):
-        calls.append((k, m))
-        return vanishes(self, k, m)
+    def counted(self, prefix, lasts, m):
+        calls.extend((prefix + (v,), m) for v in lasts)
+        return zeros(self, prefix, lasts, m)
 
-    monkeypatch.setattr(_CompiledPoly, "vanishes", counted)
+    monkeypatch.setattr(_CompiledPoly, "zeros", counted)
     z4 = CyclotomicNumber.zeta(4)
     for f, level in ((fermat_line(), 1),
                      (L(2, {(1, 0): 1, (0, 1): z4, (0, 0): -1}), 4)):
         calls.clear()
         rep = cross_check(hypersurface_cosets(f), [f], 12)
-        orbits = sum(len(list(_orbit_representatives(2, m, level)))
+        orbits = sum(len(_representatives(2, m, level))
                      for m in range(1, 13))
         assert rep.tested == len(calls) == len(set(calls)) == orbits
         assert rep.tested < _grid_size(2, 12)
@@ -367,7 +377,7 @@ def test_residue_rows_match_reference_kernel():
                 for m in orders[n]:
                     new = _CompiledPoly(f, m)
                     ref = _ReferenceCompiledPoly(f, m)
-                    for k in _orbit_representatives(n, m, level):
+                    for k in _representatives(n, m, level):
                         verdict = new.vanishes(k, m)
                         assert verdict == ref.vanishes(k, m), (f, m, k)
                         if not f.terms:
@@ -383,32 +393,69 @@ def test_residue_rows_match_reference_kernel():
 
 
 def test_residue_rows_are_built_lazily(monkeypatch):
-    # each row is built on the first test that needs it, so a scan builds
-    # at most one row per term per test; an eager table would build all
-    # terms * m rows of every order up front
-    init, vanishes, row = (_CompiledPoly.__init__, _CompiledPoly.vanishes,
-                           _CompiledPoly._row)
-    compiled, calls, built = [], {}, {}
+    # each row is built on the first point that needs it, and once, so a
+    # scan builds at most one row per term per point decided; an eager
+    # table would build all terms * m rows of every order up front
+    init, zeros, row = (_CompiledPoly.__init__, _CompiledPoly.zeros,
+                        _Residues._row)
+    compiled, decided, built = [], {}, {}
 
     def recorded_init(self, f, m):
         init(self, f, m)
-        compiled.append((self, len(f.terms)))
+        compiled.append(self)
 
-    def counted_vanishes(self, k, m):
-        calls[id(self)] = calls.get(id(self), 0) + 1
-        return vanishes(self, k, m)
+    def counted_zeros(self, prefix, lasts, m):
+        decided[id(self)] = decided.get(id(self), 0) + len(lasts)
+        return zeros(self, prefix, lasts, m)
 
-    def counted_row(self, coeff_positions, r):
+    def counted_row(self, r):
         built[id(self)] = built.get(id(self), 0) + 1
-        return row(self, coeff_positions, r)
+        return row(self, r)
 
     monkeypatch.setattr(_CompiledPoly, "__init__", recorded_init)
-    monkeypatch.setattr(_CompiledPoly, "vanishes", counted_vanishes)
-    monkeypatch.setattr(_CompiledPoly, "_row", counted_row)
+    monkeypatch.setattr(_CompiledPoly, "zeros", counted_zeros)
+    monkeypatch.setattr(_Residues, "_row", counted_row)
     z12 = CyclotomicNumber.zeta(12)
     f = L(1, {(5,): z12, (1,): 1 + z12, (0,): -1})
     assert brute_force_points([f], 300) == []
     assert len(compiled) == 300
-    for c, terms in compiled:
-        assert built.get(id(c), 0) <= terms * calls.get(id(c), 0)
+    for c in compiled:
+        assert len(c.terms) == 3
+        for _, _, table in c.terms:
+            count = built.get(id(table), 0)
+            assert count == len(table.rows) <= decided.get(id(c), 0)
     assert sum(built.values()) > 0
+
+
+@pytest.mark.parametrize("name, value", [("_WEIGHTS", (0,)),
+                                         ("_MODULUS", 1)])
+def test_colliding_fingerprints_are_decided_exactly(monkeypatch, name,
+                                                    value):
+    # the fingerprints only select; with all weights 0, or modulus 1,
+    # every row's fingerprint is 0, every point is selected, and the
+    # exact row sums alone must give the same points and verdicts
+    rng = random.Random(21)
+    systems = [[_random_system_poly(rng, n, level)]
+               for n, level in ((1, 12), (2, 1), (2, 4), (3, 3))]
+    systems.append([fermat_line(), L(2, {(1, 1): 1, (0, 0): -1})])
+    expected = [_grid_points(system, 12) for system in systems]
+    # weights built while the modulus is 1 must not outlive the test
+    monkeypatch.setattr(oracle, "_WEIGHTS", oracle._WEIGHTS)
+    monkeypatch.setattr(oracle, name, value)
+    prints = []
+    for system, points in zip(systems, expected):
+        assert brute_force_points(system, 12) == points
+        n = system[0].nvars
+        assert len(points) < _grid_size(n, 12)
+    assert sum(map(bool, expected)) >= 3
+    for n, level in ((1, 12), (2, 4), (3, 3)):
+        for f in _kernel_draws(rng, n, level):
+            for m in (1, 5, 6, 8):
+                new = _CompiledPoly(f, m)
+                ref = _ReferenceCompiledPoly(f, m)
+                for k in _representatives(n, m, level):
+                    assert new.vanishes(k, m) == ref.vanishes(k, m), \
+                        (f, m, k)
+                prints += [p for _, _, table in new.terms
+                           for p in table.values()]
+    assert prints and not any(prints)
