@@ -131,7 +131,11 @@ class _Residues(dict):
         base = r * self.unit
         row = [0] * level.phi
         for p, c in self.coeff_positions:
-            for i, x in enumerate(level.power(base + p)):
+            k = (base + p) % level.n
+            if k < level.phi:  # a basis vector
+                row[k] += c
+                continue
+            for i, x in enumerate(level.power(k)):
                 if x:
                     row[i] += c * x
         return row

@@ -13,7 +13,7 @@ twisted polynomials (sign twists, squared twists and Galois twists,
 depending on the coefficient field), eliminates one variable by
 resultants, and recurses on the candidate projections.
 The cosets above each candidate, and those of a system inside each
-positive-dimensional coset of its first hypersurface, come from one
+positive-dimensional coset of its cheapest hypersurface, come from one
 restriction to a torsion coset, through slice_values at the coset's
 exponent matrix, solved in dim(coset) variables and lifted back.
 
@@ -495,14 +495,20 @@ def hypersurface_cosets(f: LaurentPolynomial) -> SolveReport:
 # general systems
 
 
+def _cost_key(f: LaurentPolynomial):
+    # term count, then the Newton box (the sum of the exponent spans):
+    # the same for monomial shifts, unit multiples and Galois conjugates
+    return len(f.terms), sum(map(f.degree_in, range(f.nvars)))
+
+
 def _solve_variety(system, stats: SolveStats, depth: int):
-    system = [f for f in system if not f.is_zero()]
+    # the cheapest hypersurface first; ties keep the input order
+    system = sorted((f for f in system if not f.is_zero()), key=_cost_key)
     if not system:
         raise ValueError("empty system (all polynomials zero)")
     if len(system) == 1:
         return _solve_hypersurface(system[0], stats, depth)
-    first = system[0]
-    rest = system[1:]
+    first, *rest = system
     base = _solve_hypersurface(first, stats, depth)
     results = []
     for c in base:
@@ -518,7 +524,13 @@ def variety_cosets(system) -> SolveReport:
     system, with certification against every input polynomial: one
     exact membership test per Galois orbit over Q(zeta_N), N the lcm of
     the coefficient levels, and an exact key match for the orbit's other
-    cosets (_certify)."""
+    cosets (_certify).
+
+    Each level of the recursion solves the hypersurface of least
+    _cost_key first and restricts the rest to its maximal cosets.  No
+    order can change the answer: each maximal coset of the variety lies
+    in a maximal coset C of every hypersurface, and is maximal among the
+    cosets of the rest of the system inside C."""
     system = list(system)
     if not system:
         raise ValueError("empty system")
