@@ -225,7 +225,9 @@ class IntegerLattice:
 
     @classmethod
     def full(cls, n: int) -> "IntegerLattice":
-        return cls(n, identity_matrix(n))
+        lat = cls.__new__(cls)  # the identity rows are their own HNF
+        lat.ambient, lat.rows = n, tuple(map(tuple, identity_matrix(n)))
+        return lat
 
     @property
     def rank(self) -> int:

@@ -5,8 +5,11 @@ nonzero CyclotomicNumber coefficients.  The module provides the
 structural operations the torsion-coset machinery needs: support and
 exponent-lattice extraction, multi-prime modular Sylvester resultants,
 multivariate gcd, and exact root-of-unity root finding for univariate
-inputs.  LaurentPolynomial.slice_values is the one exact evaluation at
-a torsion point: the terms with equal e * G^T form a slice, and each
+inputs.  resultant is one kernel for a pair and for a twisted family
+(a ResultantFamily keeps f's data); a Galois twist at a level divisible
+by 4 takes its determinants at half the roots of Phi_N.
+LaurentPolynomial.slice_values is the one exact evaluation at a torsion
+point: the terms with equal e * G^T form a slice, and each
 slice sums into one integer accumulator at level lcm(N, m), reduced
 modulo Phi_lcm(N, m) once.  evaluate (no slice rows), scale_variables
 (identity rows), TorsionCoset.lies_on and the solver's restriction to a
@@ -30,7 +33,7 @@ import threading
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .arith import (
     CyclotomicNumber,
@@ -732,38 +735,33 @@ def _exponent_window(f: LaurentPolynomial, g: LaurentPolynomial, var: int):
     return window
 
 
-def _resultant_mod(fterms, gterms, shape, window, field):
+def _grid_rows(terms, roots, deg: int, window, p: int):
+    # at each node t_j = 1, ..., hi_j - lo_j + 1 of the window, in
+    # product order, the dense X_var-rows (ascending) of the images of
+    # the integer coordinates at the roots of Phi_N, one row per root
+    images = [(e, k, [sum(x * pow(r, j, p) for j, x in enumerate(v)) % p
+                      for r in roots]) for e, k, v in terms]
+    for point in product(*(range(1, hi - lo + 2) for lo, hi in window)):
+        rows = [[0] * (deg + 1) for _ in roots]
+        for e, k, v in images:
+            mono = 1
+            for t, x in zip(point, e):
+                mono = mono * pow(t, x, p) % p
+            for row, x in zip(rows, v):
+                row[k] += x * mono
+        yield [[x % p for x in row] for row in rows]
+
+
+def _resultant_mod(frows, grows, shifts, window, field, signs):
     """Power-basis coordinates mod p of the resultant coefficients, flat
-    in the order (monomial of the output grid, coordinate)."""
+    in the order (monomial of the output grid, coordinate), from the
+    rows at the grid nodes; with signs, grows has half the roots."""
     p, roots, vinv = field
-    phi = len(roots)
-
-    def at_roots(terms):
-        return [(e, k, [sum(x * pow(r, j, p) for j, x in enumerate(v)) % p
-                        for r in roots]) for e, k, v in terms]
-
-    fv, gv = at_roots(fterms), at_roots(gterms)
-    sizes = [hi - lo + 1 for lo, hi in window]
-    # t^(-lo) at the nodes t = 1, ..., s of each axis
-    shifts = [[pow(t, -lo, p) for t in range(1, s + 1)]
-              for (lo, _), s in zip(window, sizes)]
     vals = []
-    for point in product(*(range(1, s + 1) for s in sizes)):
-        dense = []
-        for terms, deg in zip((fv, gv), shape):
-            rows = [[0] * (deg + 1) for _ in range(phi)]
-            for e, k, v in terms:
-                mono = 1
-                for t, x in zip(point, e):
-                    mono = mono * pow(t, x, p) % p
-                for row, x in zip(rows, v):
-                    row[k] += x * mono
-            dense.append(rows)
-        shift = 1
-        for t, table in zip(point, shifts):
-            shift = shift * table[t - 1] % p
-        vals.extend(_sylvester_mod([x % p for x in a], [x % p for x in b], p)
-                    * shift % p for a, b in zip(*dense))
+    for a_rows, b_rows, shift in zip(frows, grows, shifts):
+        vals.extend(_sylvester_mod(list(a), b, p) * shift % p
+                    for a, b in zip(a_rows, b_rows))
+    sizes = [hi - lo + 1 for lo, hi in window]
     inv = [0, 1]
     for i in range(2, max(sizes, default=1)):
         inv.append(-(p // i) * inv[p % i] % p)
@@ -774,22 +772,63 @@ def _resultant_mod(fterms, gterms, shape, window, field):
             for off in range(start, start + stride):
                 line = slice(off, off + stride * s, stride)
                 vals[line] = _interpolate(vals[line], inv, p)
+    if signs is not None:
+        half = len(vals) // len(signs)
+        vals = [x for i, s in enumerate(signs)
+                for at_r in (vals[i * half:(i + 1) * half],)
+                for x in at_r + [s * y % p for y in at_r]]
+    phi = len(roots)
     if phi == 1:
         return vals
     return [sum(x * y for x, y in zip(row, vals[i:i + phi])) % p
             for i in range(0, len(vals), phi) for row in vinv]
 
 
-def resultant(f: LaurentPolynomial, g: LaurentPolynomial,
-              var: int) -> LaurentPolynomial:
+class ResultantFamily:
+    """A polynomial f prepared once for its resultants in X_var with the
+    candidates of one family: f stripped, its integer coordinates and
+    1-norm at the level N, one exponent window per candidate support,
+    and per prime and window f's dense rows at the nodes."""
+
+    __slots__ = ("poly", "var", "level", "terms", "den", "norm",
+                 "windows", "grids")
+
+    def __init__(self, f: LaurentPolynomial, var: int, level: int = 1):
+        if f.is_zero():
+            raise ValueError("resultant of the zero polynomial")
+        self.poly, _ = f.strip_monomial_content()
+        self.var, self.level = var, lcm(self.poly.coefficient_level(), level)
+        self.terms, self.den, self.norm = _integer_coordinates(
+            self.poly, self.level, var)
+        self.windows, self.grids = {}, {}
+
+    def grid(self, index: int, window):
+        # the index-th prime's field, and f's rows and prod t_j^(-lo_j)
+        # at each node of the window
+        key = (index, tuple(window))
+        if key not in self.grids:
+            field = p, roots, _ = _prime_field(self.level, index)
+            tables = [[pow(t, -lo, p) for t in range(1, hi - lo + 2)]
+                      for lo, hi in window]
+            self.grids[key] = (field, list(_grid_rows(
+                self.terms, roots, self.poly.degree_in(self.var), window, p)),
+                [prod(ts) % p for ts in product(*tables)])
+        return self.grids[key]
+
+
+def resultant(f, g: LaurentPolynomial, var: int,
+              twist=None) -> LaurentPolynomial:
     """Sylvester resultant with respect to X_var, after clearing the
     monomial content of both inputs.  The result lives in the remaining
     variables, with coefficients at the lcm N of the input levels; it
     vanishes at every projection of a common torus zero, and is zero
     exactly when the inputs share a factor of positive degree in X_var.
 
-    One multi-prime kernel for any number of variables.  With p, q the
-    degrees of f, g in X_var and d_f, d_g their coefficient
+    One multi-prime kernel for any number of variables and for a whole
+    family of second arguments: f is a LaurentPolynomial or a
+    ResultantFamily of f for X_var, which keeps what depends on f alone
+    (N is then its level) for every candidate g of the family.  With p,
+    q the degrees of f, g in X_var and d_f, d_g their coefficient
     denominators, d_f f and d_g g have integer coordinates at level N
     and res(f, g) = res(d_f f, d_g g) / (d_f^q d_g^p).  Before reduction
     mod Phi_N that determinant lies in Z[X, z], of 1-norm at most the
@@ -811,7 +850,8 @@ def resultant(f: LaurentPolynomial, g: LaurentPolynomial,
     weights.  So every X_j-exponent of the resultant lies in
     [lo_j, hi_j], whatever the coefficients are, also for degenerate
     supports and leading coefficients that vanish somewhere.  The
-    weights are found by a Hungarian assignment in O((p + q)^3).
+    weights are found by a Hungarian assignment in O((p + q)^3), once
+    per support of g.
 
     Modulo each P, z runs over the roots of Phi_N and each other X_j
     over t = 1, ..., hi_j - lo_j + 1 (never 0); each determinant times
@@ -820,38 +860,68 @@ def resultant(f: LaurentPolynomial, g: LaurentPolynomial,
     the coordinates, coefficient k at exponent lo_j + k.  Every point
     takes the determinant of the formal shape (p, q), also where a
     leading coefficient vanishes: the determinant commutes with every
-    ring map, so no prime or point is unlucky and none is skipped."""
-    if f.is_zero() or g.is_zero():
+    ring map, so no prime or point is unlucky and none is skipped.
+
+    The Galois pairing.  twist = eps states that N = 0 (mod 4) and
+    g = sigma(f)(eps X) up to a unit monomial, for the involution
+    sigma: zeta_N -> -zeta_N.  Write x for the other variables, K for
+    their indices, v = var and R = Res_v(f, g), of formal shape (p, q).
+    As sigma^2 = 1, sigma(R)(eps_K x) = Res_v(A, B) for A =
+    sigma(f)(eps_K x, y) and B = f(x, eps_v y), and Res_v(A, B) =
+    eps_v^(pq) Res_v(A(eps_v y), B(eps_v y)) = eps_v^(pq) Res_v(g, f) =
+    (-eps_v)^(pq) R.  So each coefficient c_e of R has sigma(c_e) =
+    (-eps_v)^(pq) eps_K^e c_e; the unit monomial and the denominators
+    change R by a rational factor, which sigma fixes.  The ring map
+    zeta_N -> r composed with sigma is zeta_N -> -r, and the roots
+    zeta^k, k < N/2, come first in their list, -zeta^k = zeta^(k + N/2)
+    half a list later.  So the image of c_e at -r is (-eps_v)^(pq)
+    eps_K^e times its image at r: the determinants and the interpolation
+    run at the first half of the roots, and these signs fill in the
+    second half before the Vandermonde solve."""
+    family = (f if isinstance(f, ResultantFamily)
+              else ResultantFamily(f, var, g.coefficient_level()))
+    if family.var != var:
+        raise ValueError("the family eliminates another variable")
+    if g.is_zero():
         raise ValueError("resultant of the zero polynomial")
-    f, _ = f.strip_monomial_content()
     g, _ = g.strip_monomial_content()
-    shape = (f.degree_in(var), g.degree_in(var))
+    shape = (family.poly.degree_in(var), g.degree_in(var))
     if 0 in shape:
         raise ValueError("inputs must have positive degree in the variable")
-    level = lcm(f.coefficient_level(), g.coefficient_level())
-    (fterms, df, fnorm), (gterms, dg, gnorm) = (
-        _integer_coordinates(h, level, var) for h in (f, g))
-    bound = fnorm ** shape[1] * gnorm ** shape[0] * _power_bound(level)
-    window = _exponent_window(f, g, var)
+    level = family.level
+    if twist is not None and level % 4:
+        raise ValueError("the Galois pairing needs a level divisible by 4")
+    gterms, dg, gnorm = _integer_coordinates(g, level, var)
+    bound = family.norm ** shape[1] * gnorm ** shape[0] * _power_bound(level)
+    key = frozenset(g.terms)
+    if key not in family.windows:
+        family.windows[key] = _exponent_window(family.poly, g, var)
+    window = family.windows[key]
+    exponents = list(product(*(range(lo, hi + 1) for lo, hi in window)))
+    signs = None if twist is None else [
+        (-twist[var]) ** (shape[0] * shape[1])
+        * prod(s for s, x in zip(twist[:var] + twist[var + 1:], e) if x % 2)
+        for e in exponents]
     modulus, coords, index = 1, None, 0
     while modulus <= 2 * bound:
-        field = _prime_field(level, index)
+        field, frows, shifts = family.grid(index, window)
         index += 1
-        residues = _resultant_mod(fterms, gterms, shape, window, field)
-        p = field[0]
+        p, roots = field[0], field[1][:len(field[1]) // (2 if signs else 1)]
+        grows = _grid_rows(gterms, roots, shape[1], window, p)
+        residues = _resultant_mod(frows, grows, shifts, window, field, signs)
         step = pow(modulus, -1, p)
         coords = residues if coords is None else [
             x + modulus * ((r - x) * step % p) for x, r in zip(coords, residues)]
         modulus *= p
     phi = euler_phi(level)
-    den = df ** shape[1] * dg ** shape[0]
+    den = family.den ** shape[1] * dg ** shape[0]
     out = {}
-    for i, e in enumerate(product(*(range(lo, hi + 1) for lo, hi in window))):
+    for i, e in enumerate(exponents):
         v = [x - modulus if 2 * x > modulus else x
              for x in coords[i * phi:(i + 1) * phi]]
         if any(v):
             out[e] = CyclotomicNumber(level, v, den)
-    return LaurentPolynomial(f.nvars - 1, out)
+    return LaurentPolynomial(family.poly.nvars - 1, out)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ exact membership test per Galois orbit over the coefficient field.
 from __future__ import annotations
 
 import itertools
-import logging
 from math import gcd, lcm
 
 from .arith import (
@@ -51,23 +50,25 @@ from .lattices import (
 )
 from .poly import (
     LaurentPolynomial,
+    ResultantFamily,
     _content_and_primitive,
     cyclotomic_roots,
     multivariate_gcd,
     resultant,
 )
 
-logger = logging.getLogger(__name__)
-
 
 class SolveStats:
     """Counters collected during a solve; max_level is the largest
-    coefficient level left by the level normalization, and
+    coefficient level left by the level normalization,
     exact_certificates the number of exact membership tests the
-    certification ran (one per Galois orbit of the output)."""
+    certification ran (one per Galois orbit of the output), and
+    dropped_candidates the auxiliary candidates left out as multiples
+    of f."""
 
     __slots__ = ("max_depth", "resultants", "max_resultant_degree",
-                 "splits", "subsolves", "max_level", "exact_certificates")
+                 "splits", "subsolves", "max_level", "exact_certificates",
+                 "dropped_candidates")
 
     def __init__(self):
         self.max_depth = 0
@@ -77,6 +78,7 @@ class SolveStats:
         self.subsolves = 0
         self.max_level = 0
         self.exact_certificates = 0
+        self.dropped_candidates = 0
 
     def as_dict(self):
         return {name: getattr(self, name) for name in self.__slots__}
@@ -294,7 +296,9 @@ def auxiliary_polynomials(f: LaurentPolynomial):
     candidate shares a factor with f exactly when its resultant with f
     in X_var is zero; only then is the gcd computed, and it either
     splits f or shows the candidate to be a multiple of f, which is
-    dropped.
+    dropped.  The resultants share one ResultantFamily of f; at a level
+    divisible by 4 each Galois twist sigma(f)(eps X) passes eps, so its
+    determinants are taken at half the roots of Phi_N.
 
     Returns ("aux", [(candidate, resultant), ...]), or ("split", factor)
     with a nontrivial factor of f so the caller can split f and
@@ -314,12 +318,13 @@ def auxiliary_polynomials(f: LaurentPolynomial):
     twisted = _galois_twist(f, conjugate_exponent(level))
     stretch = 2 if level % 2 else 1
     sign_choices = list(itertools.product((1, -1), repeat=n))
-    raw = [f.sign_variant(eps) for eps in sign_choices[1:]]
-    raw += [twisted.sign_variant(eps).stretch_exponents(stretch)
-            for eps in sign_choices]
+    raw = [(f.sign_variant(eps), None) for eps in sign_choices[1:]]
+    raw += [(twisted.sign_variant(eps).stretch_exponents(stretch),
+             eps if level % 4 == 0 else None) for eps in sign_choices]
+    family = ResultantFamily(f, var)
     kept = []
-    for cand in raw:
-        res = resultant(f, cand, var)
+    for cand, twist in raw:
+        res = resultant(family, cand, var, twist)
         if not res.is_zero():
             kept.append((cand, res))
             continue
@@ -331,8 +336,8 @@ def auxiliary_polynomials(f: LaurentPolynomial):
         if quot is not None and not quot.is_unit():
             return "split", g
         # the candidate is a multiple of f: it carries no information
-        # and the twisted-family argument drops it
-        logger.warning("auxiliary candidate divisible by f dropped")
+        # and the twisted-family argument drops it (the caller counts it
+        # in SolveStats.dropped_candidates)
     return "aux", kept
 
 
@@ -402,6 +407,7 @@ def _solve_full_lattice(f: LaurentPolynomial, stats: SolveStats,
     candidates: dict = {}
     seen_resultants: set = set()
     stats.resultants += len(aux)
+    stats.dropped_candidates += 2 ** (n + 1) - 1 - len(aux)
     for _, gk in aux:
         gk, _ = gk.strip_monomial_content()
         if gk.is_unit():
@@ -443,9 +449,11 @@ def _restrict_and_lift(system, coset: TorsionCoset, stats: SolveStats,
     if not images:
         return [coset]
     gt = transpose(g)
+    # a solved point has no exponent rows: it lifts to a point
     return [TorsionCoset(coset.point * c.point.powers(gt),
                          IntegerLattice(n, mat_mul(c.exponent_matrix(), g))
-                         .orthogonal_complement())
+                         .orthogonal_complement() if c.dimension
+                         else IntegerLattice.full(n))
             for c in _solve_variety(images, stats, depth + 1)]
 
 

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from torsioncosets import lattices
 from torsioncosets.arith import TorsionPoint
 from torsioncosets.cosets import TorsionCoset, solve_exponent_congruences
 from torsioncosets.lattices import (
@@ -284,6 +285,15 @@ def test_rescale_index_is_lattice_determinant():
         kernel = pullback([TorsionCoset.from_point(TorsionPoint.ones(n))])
         assert len(kernel) == det
         assert all(c.dimension == 0 for c in kernel)
+
+
+def test_full_lattice_is_the_hnf_of_the_identity(monkeypatch):
+    # full(n) stores the identity rows, already in HNF, without an HNF
+    expected = [IntegerLattice(n, identity_matrix(n)) for n in range(1, 6)]
+    monkeypatch.setattr(lattices, "hermite_normal_form", None)
+    for n, lat in enumerate(expected, start=1):
+        assert IntegerLattice.full(n) == lat and lat.rank == n
+        assert IntegerLattice.full(n).rows == lat.rows
 
 
 def test_saturation_examples():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -22,7 +23,7 @@ from torsioncosets.poly import (
     squarefree_part,
 )
 
-from poly_references import monoidal_image, specialize
+from poly_references import monoidal_image, single_pair_resultant, specialize
 
 L = LaurentPolynomial
 
@@ -982,6 +983,67 @@ def test_resultant_differential_sweep():
                     assert _needs_two_primes(f, g, var)
                     assert resultant(f, g, var) == _resultant_bareiss(f, g, var)
     assert multi_prime >= 100
+
+
+def _galois_twist(f, level):
+    # sigma: zeta -> -zeta at a level divisible by 4, zeta -> zeta^2 at
+    # an odd level, on each coefficient at its stored level
+    k = level // 2 + 1 if level % 4 == 0 else 2
+    return f.map_coefficients(
+        lambda c: c if c.level == 1 else c.galois(k % c.level))
+
+
+def _twisted_family(f, level):
+    # the candidates of solver.auxiliary_polynomials with the pairing
+    # each one passes: f(eps X), eps != 1, then sigma(f)(eps X), paired,
+    # at a level divisible by 4, or sigma(f)(eps X^2), unpaired, else
+    signs = list(itertools.product((1, -1), repeat=f.nvars))
+    sigma = _galois_twist(f, level)
+    out = [(f.sign_variant(eps), None) for eps in signs[1:]]
+    if level % 4 == 0:
+        return out + [(sigma.sign_variant(eps), eps) for eps in signs]
+    return out + [(sigma.sign_variant(eps).stretch_exponents(2), None)
+                  for eps in signs]
+
+
+def test_resultant_family_matches_single_pair_kernel():
+    # every resultant of a twisted family, through one ResultantFamily
+    # and the Galois pairing, equals the single-pair kernel it replaced
+    rng = random.Random(4242)
+    paired = zero = 0
+    for level in (1, 3, 4, 8, 12):
+        for n in (2, 3):
+            max_exp, var = (3 if n == 2 else 2), n - 1
+
+            def draw(max_exp, big, max_den):
+                while True:
+                    f = _sweep_poly(rng, n, max_exp, level, big, max_den)
+                    if f.degree_in(var) > 0:
+                        return f
+
+            draws = [draw(max_exp, 3, 1), draw(max_exp, 10**12, 3)]
+            # the leading coefficient x_1 - 1 in X_var vanishes at the
+            # node t_1 = 1 of every window, in f and in every candidate
+            # that keeps the sign of x_1
+            top = [0] * n
+            top[var] = max_exp + 1
+            draws.append(draws[0] + L.monomial(n, top)
+                         * (L.variable(n, 0) - 1))
+            # f = f0 h with h = sigma(f0)(eps X) (paired) or f0(eps X):
+            # the candidate sigma(f)(eps X) or f(eps X) is f itself, and
+            # its resultant is zero
+            f0 = draw(1, 3, 1)
+            eps = rng.choice(list(itertools.product((1, -1), repeat=n))[1:])
+            h = _galois_twist(f0, level) if level % 4 == 0 else f0
+            draws.append(f0 * h.sign_variant(eps))
+            for f in draws:
+                family = poly.ResultantFamily(f, var)
+                for g, twist in _twisted_family(f, level):
+                    got = resultant(family, g, var, twist)
+                    assert got == single_pair_resultant(f, g, var), (f, g)
+                    paired += twist is not None
+                    zero += got.is_zero()
+    assert paired == 3 * 4 * (4 + 8) and zero >= 10
 
 
 def _support_range(h, axis):

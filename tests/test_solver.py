@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 import os
 import random
@@ -28,6 +29,7 @@ from torsioncosets.lattices import (
     identity_matrix,
     transpose,
 )
+from torsioncosets.cli import parse_system
 from torsioncosets.oracle import cross_check
 from torsioncosets.poly import LaurentPolynomial, multivariate_gcd
 from torsioncosets.solver import (
@@ -604,6 +606,52 @@ def test_auxiliary_polynomials_splits_off_content():
     rep = hypersurface_cosets(f)
     assert rep.stats.splits == 1
     assert cross_check(rep, [f], 16).passed
+
+
+def test_dropped_candidates_are_counted_not_logged(caplog):
+    # x + y - i: sigma(f)(-x, -y) = -f is a multiple of f and is dropped.
+    # A full solve first normalizes f to x + y - 1 at level 1, where no
+    # candidate is a multiple of f, so the family step runs on f directly
+    f = poly2({(1, 0): 1, (0, 1): 1, (0, 0): -z4})
+    stats = solver.SolveStats()
+    with caplog.at_level(logging.DEBUG):
+        solver._solve_full_lattice(f, stats, 0)
+        rep = hypersurface_cosets(f)
+    assert stats.dropped_candidates == 1 and stats.resultants == 6
+    assert rep.stats.dropped_candidates == 0 and len(rep.cosets) == 2
+    assert caplog.records == []
+
+
+# the determinant counts of whole solves; the unpaired kernel of the
+# parent commit took 168 and 952 on the same curves
+_LEVEL4_CURVE = ("vars: x y\nfield: 4\npoly: (2 + z)*x^3*y^2 - 2*x^2*y^3"
+                 " + (1 - 2*z)*x*y + 2*z*x^2 - y + 2\n")
+_LEVEL12_CURVE = (
+    "vars: x y\nfield: 12\npoly: (1 + z + z^2)*x^6*y^3"
+    " + (2 + z - z^2)*x^6*y + (2*z - 2*z^2 - 2*z^3)*x^4"
+    " + (1 + z - 2*z^2 - z^3)*x^3 + (z - 2*z^2 - 2*z^3)*x^2*y^4"
+    " + (1 - z - 2*z^2)*y\n")
+
+
+@pytest.mark.parametrize("text, unpaired, paired", [
+    (_LEVEL4_CURVE, 168, 120), (_LEVEL12_CURVE, 952, 680)],
+    ids=["level4", "level12"])
+def test_galois_pairing_determinant_counts(monkeypatch, text, unpaired,
+                                           paired):
+    # 4 of the 7 candidates are Galois twists, each taking its
+    # determinants at half the roots of Phi_N: 5/7 of the count
+    calls = []
+    sylvester = poly._sylvester_mod
+
+    def counting(a, b, p):
+        calls.append(p)
+        return sylvester(a, b, p)
+
+    monkeypatch.setattr(poly, "_sylvester_mod", counting)
+    (f,) = parse_system(text).polynomials
+    rep = hypersurface_cosets(f)
+    assert rep.stats.resultants == 7
+    assert len(calls) == paired and 7 * paired <= 5 * unpaired
 
 
 def test_g2_draw_138_needs_no_gcd(monkeypatch):
