@@ -11,6 +11,7 @@ from .arith import (
 )
 from .cosets import (
     CongruenceSolutionSet,
+    ExponentCongruences,
     TorsionCoset,
     maximal_filter,
     solve_exponent_congruences,
@@ -43,6 +44,7 @@ __all__ = [
     "BudgetExceededError",
     "CongruenceSolutionSet",
     "CyclotomicNumber",
+    "ExponentCongruences",
     "IntegerLattice",
     "LaurentPolynomial",
     "OracleReport",

@@ -88,10 +88,15 @@ class TorsionCoset:
     def int_key(self):
         """Invariant under the choice of representative point and of the
         lattice basis: (rows, m, nums) for the HNF rows a and the pairings
-        point^a = exp(2*pi*i*nums[i]/m) over their common order m."""
+        point^a = exp(2*pi*i*nums[i]/m) over their common order m.  At
+        the identity rows (a point) the pairings are the point itself."""
         if self._key is None:
-            p = self.point.powers(self.lattice.rows)
-            object.__setattr__(self, "_key", (self.lattice.rows, p.order, p.nums))
+            rows = self.lattice.rows
+            p = self.point
+            # a full-rank HNF with unit pivots is the identity
+            if len(rows) < len(p) or any(r[i] != 1 for i, r in enumerate(rows)):
+                p = p.powers(rows)
+            object.__setattr__(self, "_key", (rows, p.order, p.nums))
         return self._key
 
     def canonical_key(self):
@@ -243,32 +248,51 @@ class CongruenceSolutionSet:
         return TorsionPoint(k, den)
 
 
+class ExponentCongruences:
+    """The torsion solutions of R q = s (mod 1) for one matrix R and any
+    right-hand side s.  The Smith form W R V = D, the homogeneous lattice
+    and the generators depend on R alone and are built once; solve(s)
+    does only the O(n^2) right-hand-side step."""
+
+    __slots__ = ("ambient", "w", "diag", "v", "rank", "homogeneous",
+                 "generators")
+
+    def __init__(self, rows):
+        rows = [list(r) for r in rows]
+        if not rows:
+            raise ValueError("empty congruence system has no ambient dimension")
+        n = self.ambient = len(rows[0])
+        self.w, self.diag, self.v = _smith_diagonalize(rows)
+        rank = self.rank = sum(1 for d in self.diag if d)
+        # R = W^-1 D V^-1, so the saturated row space of R is spanned by
+        # the first rank rows of V^-1
+        self.homogeneous = IntegerLattice(n, mat_inverse_unimodular(self.v)[:rank])
+        self.generators = [([r[i] for r in self.v], self.diag[i])
+                           for i in range(rank) if self.diag[i] != 1]
+
+    def solve(self, s) -> CongruenceSolutionSet:
+        """All torsion q with R q = s (mod 1), for a TorsionPoint s or
+        rationals taken modulo 1."""
+        s = TorsionPoint(s)
+        if len(s) != len(self.w):
+            raise ValueError("right-hand side length mismatch")
+        n, rank, diag = self.ambient, self.rank, self.diag
+        # with s = nums / m: W s = t / m, and y0 = D^-1 W s over m * lcm(D)
+        m = s.order
+        t = [sum(a * b for a, b in zip(row, s.nums)) for row in self.w]
+        if any(t[i] % m for i in range(rank, len(t))):
+            return CongruenceSolutionSet(n, False)
+        den = m * lcm(*diag[:rank])
+        y0 = [t[i] * (den // (m * diag[i])) for i in range(rank)]
+        q0 = TorsionPoint([sum(a * b for a, b in zip(row, y0))
+                           for row in self.v], den)
+        return CongruenceSolutionSet(n, True, q0, self.homogeneous,
+                                     self.generators)
+
+
 def solve_exponent_congruences(rows, s) -> CongruenceSolutionSet:
     """Describe all torsion q with R q = s (mod 1) via the Smith normal
     form of R; for square nonsingular R there are exactly |det R|
     solutions.  The right-hand side s is a TorsionPoint, or rationals
     taken modulo 1."""
-    rows = [list(r) for r in rows]
-    k = len(rows)
-    if k == 0:
-        raise ValueError("empty congruence system has no ambient dimension")
-    n = len(rows[0])
-    s = TorsionPoint(s)
-    if len(s) != k:
-        raise ValueError("right-hand side length mismatch")
-    w, diag, v = _smith_diagonalize(rows)
-    rank = sum(1 for d in diag if d)
-    # with s = nums / m: W s = t / m, and y0 = D^-1 W s over m * lcm(D)
-    m = s.order
-    t = [sum(a * b for a, b in zip(row, s.nums)) for row in w]
-    if any(t[i] % m for i in range(rank, k)):
-        return CongruenceSolutionSet(n, False)
-    den = m * lcm(*diag[:rank])
-    y0 = [t[i] * (den // (m * diag[i])) for i in range(rank)] + [0] * (n - rank)
-    q0 = TorsionPoint([sum(a * b for a, b in zip(row, y0)) for row in v], den)
-    # R = W^-1 D V^-1, so the saturated row space of R is spanned by the
-    # first rank rows of V^-1
-    hom = IntegerLattice(n, mat_inverse_unimodular(v)[:rank])
-    generators = [([v[row][i] for row in range(n)], diag[i])
-                  for i in range(rank) if diag[i] != 1]
-    return CongruenceSolutionSet(n, True, q0, hom, generators)
+    return ExponentCongruences(rows).solve(s)

@@ -15,7 +15,10 @@ resultants, and recurses on the candidate projections.
 The cosets above each candidate, and those of a system inside each
 positive-dimensional coset of its cheapest hypersurface, come from one
 restriction to a torsion coset, through slice_values at the coset's
-exponent matrix, solved in dim(coset) variables and lifted back.
+exponent matrix, solved in dim(coset) variables and lifted back.  Point
+candidates are restricted once per Galois orbit over the coefficient
+field; the other points of the orbit take the conjugates of the cosets
+found above the first.
 
 Univariate resultants are passed on as they are; cyclotomic_roots
 clears their monomial content itself.  The output is certified with one
@@ -35,6 +38,7 @@ from .arith import (
     conjugate_exponent,
 )
 from .cosets import (
+    ExponentCongruences,
     TorsionCoset,
     bezout_vector,
     maximal_filter,
@@ -62,13 +66,14 @@ class SolveStats:
     """Counters collected during a solve; max_level is the largest
     coefficient level left by the level normalization,
     exact_certificates the number of exact membership tests the
-    certification ran (one per Galois orbit of the output), and
+    certification ran (one per Galois orbit of the output),
     dropped_candidates the auxiliary candidates left out as multiples
-    of f."""
+    of f, and conjugated_candidates the point candidates whose cosets
+    were mapped from a Galois conjugate's instead of restricted."""
 
     __slots__ = ("max_depth", "resultants", "max_resultant_degree",
                  "splits", "subsolves", "max_level", "exact_certificates",
-                 "dropped_candidates")
+                 "dropped_candidates", "conjugated_candidates")
 
     def __init__(self):
         self.max_depth = 0
@@ -79,6 +84,7 @@ class SolveStats:
         self.max_level = 0
         self.exact_certificates = 0
         self.dropped_candidates = 0
+        self.conjugated_candidates = 0
 
     def as_dict(self):
         return {name: getattr(self, name) for name in self.__slots__}
@@ -198,7 +204,8 @@ def rescale_to_full_lattice(f: LaurentPolynomial):
     The rows of A are independent, so X -> X^A maps G_m^n onto G_m^r,
     and the cosets of H(f) are the preimages of those of H(f*): the
     preimage of u * H_B is the solution set of X^(b A) = u^b over the
-    rows b of B, one solve_exponent_congruences per coset.  P = I would
+    rows b of B, with one Smith form of B A per distinct B (one for all
+    the points, whose B is the identity).  P = I would
     do at every rank, but H is the same for every monoidal image of f
     (with the same term order), while on monoidal images of polynomials
     in r variables the f* read off the HNF rows of L(f) alone took 100
@@ -217,11 +224,17 @@ def rescale_to_full_lattice(f: LaurentPolynomial):
     a_rows = mat_mul(lat.rows, basis)
 
     def pullback(cosets):
+        # one Smith form per distinct lattice: every point shares the
+        # identity rows
+        systems = {}
         results = []
         for c in cosets:
             rows, m, nums = c.int_key()
-            sol = solve_exponent_congruences(mat_mul(rows, a_rows),
-                                             TorsionPoint(nums, m))
+            system = systems.get(rows)
+            if system is None:
+                system = systems[rows] = ExponentCongruences(
+                    mat_mul(rows, a_rows))
+            sol = system.solve(TorsionPoint(nums, m))
             if not sol.consistent:
                 raise RuntimeError("internal error: inconsistent isogeny "
                                    "pullback")
@@ -255,6 +268,14 @@ def minimal_level_normalize(f: LaurentPolynomial):
     two_n = 2 * level
     d, *others = sorted(reduced.terms)
     ratios = [reduced.terms[e] / reduced.terms[d] for e in others]
+    # (r zeta_2N^j)^(2N) = r^(2N), so a reachable level is a multiple of
+    # the minimal level of every r^(2N): once their lcm reaches the level,
+    # no lower one is reachable
+    floor = 1
+    for r in ratios:
+        floor = lcm(floor, (r ** two_n).minimal_level().level)
+        if floor >= level:
+            return identity, level, reduced
     scans = [[(r * CyclotomicNumber.zeta(two_n, j)).minimal_level().level
               for j in range(two_n)] for r in ratios]
     for m in _divisors(two_n):
@@ -394,7 +415,24 @@ def _poly_associate_key(f: LaurentPolynomial):
 
 def _solve_full_lattice(f: LaurentPolynomial, stats: SolveStats,
                         depth: int) -> list[TorsionCoset]:
-    # L(f) = Z^n, level-normalized, binomial-free
+    """The cosets of H(f) for a level-normalized, binomial-free f with
+    L(f) = Z^n: eliminate X_n by the auxiliary family, solve the
+    resultants, and restrict f to the preimage of each candidate.
+
+    Point candidates are taken one Galois orbit at a time.  With N the
+    coefficient level and c a point of order m, every t = 1 (mod N)
+    prime to lcm(m, N) gives the conjugate c' = c^t; only the first
+    candidate of an orbit in sort_key order is restricted.  Let M be the
+    lcm of N and the orders of the cosets lifted above c, and t' = t +
+    k lcm(m, N) the first such value prime to M.  Any automorphism tau
+    of Q(mu_oo) restricting to sigma_t': zeta_M -> zeta_M^t' fixes
+    Q(zeta_N), hence f, and maps c to c' as t' = t (mod m); so it maps
+    the zeros of f on the preimage {c} x G_m of c bijectively onto those
+    on the preimage of c'.  tau acts as sigma_t' on the cosets above c,
+    whose orders divide M, so the cosets above c' are their sigma_t'
+    images: the same lattice and the point numerators times t'.  A
+    positive-dimensional candidate keeps its own restriction, as its
+    conjugates may print another representative point."""
     n = f.nvars
     kind, aux = auxiliary_polynomials(f)
     if kind == "split":
@@ -420,14 +458,53 @@ def _solve_full_lattice(f: LaurentPolynomial, stats: SolveStats,
         seen_resultants.add(key)
         for c in _solve_hypersurface(gk, stats, depth + 1):
             candidates.setdefault(c.int_key(), c)
+    level = f.coefficient_level()
     results: list[TorsionCoset] = []
+    # key of a point candidate -> (t, lifted cosets of the first
+    # candidate of its orbit, which it is sigma_t of)
+    orbits: dict = {}
     for cand in sorted(candidates.values(), key=TorsionCoset.sort_key):
+        key = cand.int_key()
+        if key in orbits:
+            stats.conjugated_candidates += 1
+            t, lifted = orbits[key]
+            results.extend(_conjugate(lifted, t, lcm(level, cand.point.order)))
+            continue
         # the preimage of the candidate under the projection dropping X_n
         preimage = TorsionCoset(
             TorsionPoint(cand.point.nums + (0,), cand.point.order),
             IntegerLattice(n, [list(r) + [0] for r in cand.lattice.rows]))
-        results.extend(_restrict_and_lift([f], preimage, stats, depth))
+        lifted = _restrict_and_lift([f], preimage, stats, depth)
+        results.extend(lifted)
+        if not cand.dimension:
+            for t, conj in _galois_conjugates(key, level):
+                orbits[conj] = t, lifted
     return maximal_filter(results)
+
+
+def _galois_conjugates(key, level: int):
+    """(t, int_key of sigma_t(C)) for the coset C with int_key key =
+    (rows, m, nums) and each t = 1 (mod level) in [1, lcm(level, m)]
+    prime to lcm(level, m).  sigma_t: zeta_M -> zeta_M^t fixes
+    Q(zeta_level) and maps w * H_A onto w^t * H_A, whose pairings are t
+    times those of w (t = 1 gives key itself)."""
+    rows, m, nums = key
+    big = lcm(level, m)
+    for t in range(1, big + 1, level):
+        if gcd(t, big) == 1:
+            yield t, (rows, m, tuple(t * q % m for q in nums))
+
+
+def _conjugate(cosets, t: int, step: int) -> list[TorsionCoset]:
+    """sigma_t'(C) for each coset C = w * H_A: the same lattice and the
+    point w^t', for the first t' = t + k * step prime to every point
+    order (such a t' exists when t is prime to step)."""
+    orders = lcm(*(c.point.order for c in cosets))
+    while gcd(t, orders) != 1:
+        t += step
+    return [TorsionCoset(TorsionPoint([t * x for x in c.point.nums],
+                                      c.point.order), c.lattice)
+            for c in cosets]
 
 
 def _restrict_and_lift(system, coset: TorsionCoset, stats: SolveStats,
@@ -459,14 +536,11 @@ def _restrict_and_lift(system, coset: TorsionCoset, stats: SolveStats,
 
 def _certify(cosets, polys, stats: SolveStats) -> list[bool]:
     """Exact membership of each coset in the variety of the polys, with
-    one exact lies_on per Galois orbit.  Let N be the coefficient level
-    and, for a coset w * H_A with pairings q, M the lcm of N and their
-    denominators.  Every k = 1 (mod N) prime to M gives sigma_k in
-    Gal(Q(zeta_M) / Q(zeta_N)), which fixes the polys and maps w * H_A
-    onto w^k * H_A, the coset with pairings k * q; so one lies on the
-    variety exactly when the other does.  A coset is marked True only by
-    its own exact test or by its key matching such a conjugate of a
-    coset whose test was True."""
+    one exact lies_on per Galois orbit.  With N the coefficient level,
+    each sigma_t of _galois_conjugates fixes the polys, so a coset lies
+    on the variety exactly when its conjugates do.  A coset is marked
+    True only by its own exact test or by its key matching such a
+    conjugate of a coset whose test was True."""
     level = lcm(*(f.coefficient_level() for f in polys))
     index = {c.int_key(): i for i, c in enumerate(cosets)}
     certificates = [False] * len(cosets)
@@ -476,13 +550,10 @@ def _certify(cosets, polys, stats: SolveStats) -> list[bool]:
         stats.exact_certificates += 1
         if not c.lies_on(polys):
             continue
-        rows, m, nums = c.int_key()
-        big = lcm(level, m)
-        for k in range(1, big + 1, level):
-            if gcd(k, big) == 1:
-                j = index.get((rows, m, tuple(k * q % m for q in nums)))
-                if j is not None:
-                    certificates[j] = True
+        for _, key in _galois_conjugates(c.int_key(), level):
+            j = index.get(key)
+            if j is not None:
+                certificates[j] = True
     return certificates
 
 

@@ -445,6 +445,36 @@ def test_minimal_level_normalize_matches_bruteforce():
         assert fs == scaled.scale(fs.terms[e0] / scaled.terms[e0]), f
 
 
+def test_minimal_level_normalize_reaches_every_drop():
+    # coefficients at a level sub < N times zeta_2N^<e, k>: the ratios
+    # lie above level sub, their 2N-th powers at sub, so the level drops
+    # and the r^(2N) filter must let every draw through
+    rng = random.Random(20261020)
+    cases = [(2, 3, 1), (2, 4, 1), (2, 8, 4), (2, 12, 3), (2, 12, 4),
+             (3, 3, 1), (3, 4, 1)] * 2
+    for n, level, sub in cases:
+        start = 0
+        while start <= sub:
+            # redrawn while the shifts leave the level at sub
+            k = [rng.randrange(2 * level) for _ in range(n)]
+            terms = {}
+            while len(terms) < 3:
+                e = tuple(rng.randint(0, 2) for _ in range(n))
+                c = CyclotomicNumber(sub, [rng.randint(-2, 2)
+                                           for _ in range(euler_phi(sub))])
+                if not c.is_zero():
+                    terms[e] = c * CyclotomicNumber.zeta(
+                        2 * level, sum(x * y for x, y in zip(e, k)))
+            f = L(n, terms)
+            start = f.map_coefficients(
+                lambda c: c.minimal_level()).coefficient_level()
+        scal, m, fs = minimal_level_normalize(f)
+        ref_scal, ref_m, _ = _minimal_level_bruteforce(f)
+        assert m <= sub < start, f
+        assert (scal, m) == (ref_scal, ref_m), f
+        assert fs.coefficient_level() == m
+
+
 def test_minimal_level_normalize_reproducer():
     # a non-minimal level once dropped both torsion points of this f:
     # -z8^3 x^3 - 2 z8^3 x y^2 + (2+2i) x y + (2+i)
