@@ -5,7 +5,9 @@ A CyclotomicNumber is stored at a *level* N as an integer coordinate
 vector over the power basis 1, z, ..., z^(phi(N)-1) of Q[x]/Phi_N(x),
 together with one positive denominator.  Representation at a fixed level
 is unique, so the zero test is trivial.  Arithmetic between different
-levels lifts lazily to the lcm of the levels.
+levels lifts lazily to the lcm of the levels.  _Level.reduce is the one
+fold modulo Phi_N: embed_to_level, multiplication, galois and
+LaurentPolynomial.slice_values each reduce one exponent-indexed list.
 
 Roots of unity and torsion points are kept symbolically as integer
 exponent numerators a over one order m (the value exp(2*pi*i*a/m)).
@@ -68,10 +70,6 @@ def _poly_div_exact_int(num: list[int], den: list[int]) -> list[int]:
     return quot
 
 
-_CYCLO_CACHE: dict[int, tuple[int, ...]] = {1: (-1, 1)}
-_CYCLO_LOCK = threading.Lock()
-
-
 def _stretch(poly, s: int) -> list[int]:
     # coefficients of poly(x^s)
     out = [0] * ((len(poly) - 1) * s + 1)
@@ -79,12 +77,9 @@ def _stretch(poly, s: int) -> list[int]:
     return out
 
 
+@cache
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the n-th cyclotomic polynomial."""
-    with _CYCLO_LOCK:
-        cached = _CYCLO_CACHE.get(n)
-    if cached is not None:
-        return cached
     # Phi_pm(x) = Phi_m(x^p) / Phi_m(x) for a prime p not dividing m,
     # from Phi_1 up to the radical r of n; then Phi_n(x) = Phi_r(x^(n/r))
     poly = [-1, 1]
@@ -92,10 +87,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for p in _prime_factors(n):
         poly = _poly_div_exact_int(_stretch(poly, p), poly)
         r *= p
-    result = tuple(_stretch(poly, n // r))
-    with _CYCLO_LOCK:
-        _CYCLO_CACHE[n] = result
-    return result
+    return tuple(_stretch(poly, n // r))
 
 
 class _Level:
@@ -137,20 +129,23 @@ class _Level:
                 high.append(tuple(vec))
             return high[j]
 
+    def reduce(self, acc) -> list[int]:
+        """The coordinates of sum_k acc[k] zeta^k modulo Phi_N, for a
+        list acc of any length: the one fold onto the power basis."""
+        phi = self.phi
+        vec = acc[:phi] + [0] * (phi - len(acc))
+        for k in range(phi, len(acc)):
+            c = acc[k]
+            if c:
+                for i, p in enumerate(self.power(k)):
+                    if p:
+                        vec[i] += c * p
+        return vec
 
-_LEVELS: dict[int, _Level] = {}
-_LEVELS_LOCK = threading.Lock()
 
-
+@cache
 def _level(n: int) -> _Level:
-    lv = _LEVELS.get(n)
-    if lv is None:
-        with _LEVELS_LOCK:
-            lv = _LEVELS.get(n)
-            if lv is None:
-                lv = _Level(n)
-                _LEVELS[n] = lv
-    return lv
+    return _Level(n)
 
 
 def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -204,8 +199,7 @@ class CyclotomicNumber:
     @classmethod
     def zeta(cls, level: int, power: int = 1) -> "CyclotomicNumber":
         """zeta_level^power as an exact field element."""
-        vec = _level(level).power(power)
-        return cls(level, list(vec))
+        return cls(level, _level(level).power(power))
 
     # ---- structure ----------------------------------------------------
 
@@ -225,16 +219,8 @@ class CyclotomicNumber:
                 f"level {self.level} does not divide target level {target}")
         if target == self.level:
             return self
-        lv = _level(target)
-        step = target // self.level
-        vec = [0] * lv.phi
-        for k, c in enumerate(self.num):
-            if c:
-                pw = lv.power(k * step)
-                for i, p in enumerate(pw):
-                    if p:
-                        vec[i] += c * p
-        return CyclotomicNumber(target, vec, self.den)
+        acc = _stretch(self.num, target // self.level)
+        return CyclotomicNumber(target, _level(target).reduce(acc), self.den)
 
     def _common(self, other: "CyclotomicNumber"):
         l = lcm(self.level, other.level)
@@ -293,23 +279,14 @@ class CyclotomicNumber:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        lv = _level(a.level)
-        phi = lv.phi
-        conv = [0] * (2 * phi - 1)
+        conv = [0] * (2 * len(a.num) - 1)
         for i, x in enumerate(a.num):
             if x:
                 for j, y in enumerate(b.num):
                     if y:
                         conv[i + j] += x * y
-        vec = conv[:phi]
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c:
-                pw = lv.power(k)
-                for i, p in enumerate(pw):
-                    if p:
-                        vec[i] += c * p
-        return CyclotomicNumber(a.level, vec, a.den * b.den)
+        return CyclotomicNumber(a.level, _level(a.level).reduce(conv),
+                                a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -362,15 +339,11 @@ class CyclotomicNumber:
         k must be coprime to the level."""
         if gcd(k, self.level) != 1:
             raise ValueError("exponent not coprime to the level")
-        lv = _level(self.level)
-        vec = [0] * lv.phi
+        n = self.level
+        acc = [0] * n
         for j, c in enumerate(self.num):
-            if c:
-                pw = lv.power(j * k)
-                for i, p in enumerate(pw):
-                    if p:
-                        vec[i] += c * p
-        return CyclotomicNumber(self.level, vec, self.den)
+            acc[j * k % n] = c
+        return CyclotomicNumber(n, _level(n).reduce(acc), self.den)
 
     def __eq__(self, other):
         other = _coerce(other)

@@ -80,9 +80,10 @@ def _tokenize(text, line_no):
                 k = j + 1
                 while k < len(text) and text[k].isdigit():
                     k += 1
-                tokens.append(("number",
-                               Fraction(int(text[i:j]), int(text[j + 1:k])),
-                               col))
+                num, den = int(text[i:j]), int(text[j + 1:k])
+                if not den:
+                    raise ParseError("zero denominator", line_no, col)
+                tokens.append(("number", Fraction(num, den), col))
                 i = k
             else:
                 tokens.append(("number", Fraction(int(text[i:j])), col))

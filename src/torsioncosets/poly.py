@@ -9,17 +9,17 @@ inputs.  resultant is one kernel for a pair and for a twisted family
 (a ResultantFamily keeps f's data); a Galois twist at a level divisible
 by 4 takes its determinants at half the roots of Phi_N.
 LaurentPolynomial.slice_values is the one exact evaluation at a torsion
-point: the terms with equal e * G^T form a slice, and each
-slice sums into one integer accumulator at level lcm(N, m), reduced
-modulo Phi_lcm(N, m) once.  evaluate (no slice rows), scale_variables
-(identity rows), TorsionCoset.lies_on and the solver's restriction to a
-coset (the coset's exponent matrix) are calls to it; vanishes_at is the
-zero test of evaluate, and sign_variant only negates terms.  The
-univariate layer works modulo one prime p = 1 (mod M) first: zeta_M ->
-w, a root of Phi_M mod p, is a ring map Z[zeta_M] -> F_p, so a nonzero
-residue proves a candidate root is none.  Only a zero residue goes on to
-vanishes_at.  cyclotomic_roots returns the roots alone; it builds no
-cyclotomic part.  Root finding needs no squarefree part;
+point: the terms with equal e * G^T form a slice, and each slice sums
+into one integer accumulator at level lcm(N, m), reduced modulo
+Phi_lcm(N, m) by one _Level.reduce call.  evaluate (no slice rows),
+scale_variables (identity rows), TorsionCoset.lies_on and the solver's
+restriction to a coset (the coset's exponent matrix) are calls to it;
+vanishes_at is the zero test of evaluate, and sign_variant only negates
+terms.  The univariate layer works modulo one prime p = 1 (mod M) first:
+zeta_M -> w, a root of Phi_M mod p, is a ring map Z[zeta_M] -> F_p, so a
+nonzero residue proves a candidate root is none.  Only a zero residue
+goes on to vanishes_at.  cyclotomic_roots returns the roots alone; it
+builds no cyclotomic part.  Root finding needs no squarefree part;
 squarefree_part, which proves squarefreeness the same way by a nonzero
 discriminant, has no caller in the solver.
 Univariate polynomials have no representation of their own: every gcd,
@@ -29,7 +29,6 @@ over the coefficient field once the coefficients are constants.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -331,16 +330,8 @@ class LaurentPolynomial:
                 if x:
                     acc[(pos0 + k * step) % big] += x * mult
         lv = _level(big)
-        out = {}
-        for key, acc in accs.items():
-            red = acc[:lv.phi]
-            for p in range(lv.phi, big):
-                if acc[p]:
-                    for i, x in enumerate(lv.power(p)):
-                        if x:
-                            red[i] += acc[p] * x
-            out[key] = CyclotomicNumber(big, red, den)
-        return out
+        return {key: CyclotomicNumber(big, lv.reduce(acc), den)
+                for key, acc in accs.items()}
 
     def evaluate(self, point: TorsionPoint) -> CyclotomicNumber:
         """Exact value at a torsion point, at level lcm(N, m): the one
@@ -628,21 +619,15 @@ def _field_data(p: int, level: int):
     return p, roots, [list(row) for row in zip(*cols)]
 
 
-_FIELDS: dict[int, list] = {}
-_FIELDS_LOCK = threading.Lock()
-
-
+@cache
 def _prime_field(level: int, index: int):
     # _field_data of the index-th prime p = 1 (mod level) below 2^62, in
     # descending order
-    with _FIELDS_LOCK:
-        fields = _FIELDS.setdefault(level, [])
-        p = fields[-1][0] if fields else 2**62 + level - 1 - (2**62 - 2) % level
-        while len(fields) <= index:
-            p -= level
-            if _is_prime(p):
-                fields.append(_field_data(p, level))
-        return fields[index]
+    p = (_prime_field(level, index - 1)[0] - level if index
+         else 2**62 - 1 - (2**62 - 2) % level)
+    while not _is_prime(p):
+        p -= level
+    return _field_data(p, level)
 
 
 @cache

@@ -15,6 +15,8 @@ from torsioncosets.arith import (
     euler_phi,
 )
 
+from arith_references import reduce_by_division
+
 
 def zeta(n, k=1):
     return CyclotomicNumber.zeta(n, k)
@@ -55,15 +57,7 @@ def test_cyclotomic_polynomials_match_divisor_recursion():
 
 def _reference_power(n, k):
     # x^k mod Phi_n by long division (Phi_n is monic)
-    cyclo = cyclotomic_polynomial(n)
-    phi = len(cyclo) - 1
-    rem = [0] * k + [1]
-    for top in range(k, phi - 1, -1):
-        c = rem[top]
-        if c:
-            for i, d in enumerate(cyclo):
-                rem[top - phi + i] -= c * d
-    return tuple((rem + [0] * phi)[:phi])
+    return tuple(reduce_by_division([0] * k + [1], n))
 
 
 def test_level_powers_store_only_powers_from_phi_on():

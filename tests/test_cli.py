@@ -250,6 +250,24 @@ def test_cli_parse_error_exit(capsys, tmp_path):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, line, column", [
+    ("vars: x y\npoly: x + 1/0\n", 2, 5),
+    ("poly: y - 2*x + 7/00*y\n", 1, 11),  # variables inferred from tokens
+])
+def test_zero_denominator_is_a_parse_error(capsys, tmp_path, text, line,
+                                           column):
+    # the error points at the literal, and the CLI exits with the parse
+    # error code, not verify's mismatch code
+    with pytest.raises(ParseError) as exc:
+        parse_system(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    path = tmp_path / "system.txt"
+    path.write_text(text)
+    for command in ("solve", "verify"):
+        assert run([command, "--input", str(path)]) == EXIT_PARSE_ERROR
+        assert "parse error" in capsys.readouterr().err
+
+
 def test_cli_bounds(capsys):
     code = run(["bounds", "--n", "2", "--d", "3"])
     assert code == EXIT_OK
