@@ -6,8 +6,9 @@ structural operations the torsion-coset machinery needs: support and
 exponent-lattice extraction, multi-prime modular Sylvester resultants,
 multivariate gcd, and exact root-of-unity root finding for univariate
 inputs.  resultant is one kernel for a pair and for a twisted family
-(a ResultantFamily keeps f's data); a Galois twist at a level divisible
-by 4 takes its determinants at half the roots of Phi_N.
+(a ResultantFamily keeps f's data, a Twist names each member); a Galois
+twist at a level divisible by 4 takes its determinants at half the roots
+of Phi_N.
 LaurentPolynomial.slice_values is the one exact evaluation at a torsion
 point: the terms with equal e * G^T form a slice, and each slice sums
 into one integer accumulator at level lcm(N, m), reduced modulo
@@ -33,13 +34,14 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .arith import (
     CyclotomicNumber,
     RootOfUnity,
     TorsionPoint,
-    _divisors,
     _level,
+    _prime_factors,
     cyclotomic_polynomial,
     euler_phi,
 )
@@ -483,6 +485,11 @@ def _orders_with_phi_at_most(bound: int) -> list[int]:
     return sorted(out)
 
 
+def _v2(m: int) -> int:
+    # the 2-adic valuation of m >= 1
+    return (m & -m).bit_length() - 1
+
+
 @cache
 def _candidate_orders(bound: int, level: int):
     """(d, M = lcm(d, N), phi(M) / phi(N)) for the orders d with phi(d)
@@ -511,9 +518,11 @@ def _unit_orbits(d: int, big: int, level: int):
     return orbits
 
 
-def cyclotomic_roots(g: LaurentPolynomial) -> list[RootOfUnity]:
+def cyclotomic_roots(g: LaurentPolynomial,
+                     classes=None) -> list[RootOfUnity]:
     """All roots of unity w with g(w) = 0, each once, sorted by
-    exponent.
+    exponent; with classes, a container of 1-tuples, only the roots
+    whose order d has (v_2(d),) in classes.
 
     Enumerates candidate orders d with phi(lcm(d, N)) <= deg * phi(N)
     (N the coefficient level) over h, g with its monomial content
@@ -523,7 +532,9 @@ def cyclotomic_roots(g: LaurentPolynomial) -> list[RootOfUnity]:
     part, never wrong.  With (p, w) = _kernel_prime(M), M = lcm(d, N),
     zeta_M -> w is a ring map Z[zeta_M] -> F_p, so a nonzero residue of
     the cleared h(zeta_d^a) proves it nonzero, with no bound; only a zero
-    residue goes on to the exact test, hpoly.vanishes_at."""
+    residue goes on to the exact test, hpoly.vanishes_at.  An order that
+    classes excludes is skipped; the early exit still counts the roots
+    found against deg h, so it stays valid."""
     if g.is_zero():
         raise ValueError("zero polynomial has no cyclotomic part")
     if g.nvars != 1:
@@ -539,7 +550,8 @@ def cyclotomic_roots(g: LaurentPolynomial) -> list[RootOfUnity]:
     for d, big, degree in _candidate_orders(deg * euler_phi(level), level):
         if found_degree >= deg:
             break
-        if found_degree + degree > deg:
+        if found_degree + degree > deg or (
+                classes is not None and (_v2(d),) not in classes):
             continue
         p, w = _kernel_prime(big)
         imgs = [0] * (deg + 1)
@@ -566,10 +578,12 @@ def cyclotomic_roots(g: LaurentPolynomial) -> list[RootOfUnity]:
 
 def _is_prime(n: int) -> bool:
     # Miller-Rabin with the prime bases up to 41: deterministic for
-    # 41 < n < 3.3 * 10^24
+    # 41 < n < 3.3 * 10^24; those up to 7 already decide every n below
+    # 3 215 031 751 (Jaeschke), which holds the kernel primes above 2^31
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
-    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for b in (bases[:4] if n < 3_215_031_751 else bases):
         x = pow(b, d, n)
         if x in (1, n - 1):
             continue
@@ -584,10 +598,11 @@ def _is_prime(n: int) -> bool:
 
 def _root_of_phi(p: int, level: int) -> int:
     # the first t^((p-1)/level), t = 2, 3, ..., of exact order level mod a
-    # prime p = 1 (mod level): a root of Phi_level
-    proper = _divisors(level)[:-1]
+    # prime p = 1 (mod level): a root of Phi_level.  w^level = 1, so its
+    # order is level unless it divides some level / q, q a prime factor
+    maximal = [level // q for q in _prime_factors(level)]
     return next(w for w in (pow(t, (p - 1) // level, p) for t in range(2, p))
-                if all(pow(w, e, p) != 1 for e in proper))
+                if all(pow(w, e, p) != 1 for e in maximal))
 
 
 @cache
@@ -769,6 +784,16 @@ def _resultant_mod(frows, grows, shifts, window, field, signs):
             for i in range(0, len(vals), phi) for row in vinv]
 
 
+class Twist(NamedTuple):
+    """The name of one member of the twisted family of f at its level N:
+    the sign twist f(eps X), eps != 1 (kind "sign"), or the Galois twist
+    sigma(f)(eps X^s) (kind "galois") with sigma: zeta_N -> zeta_N^t,
+    t = conjugate_exponent(N), and s = 2 at an odd N, 1 at N = 0 (mod 4)."""
+
+    kind: str
+    eps: tuple[int, ...]
+
+
 class ResultantFamily:
     """A polynomial f prepared once for its resultants in X_var with the
     candidates of one family: f stripped, its integer coordinates and
@@ -802,7 +827,7 @@ class ResultantFamily:
 
 
 def resultant(f, g: LaurentPolynomial, var: int,
-              twist=None) -> LaurentPolynomial:
+              twist: Twist | None = None) -> LaurentPolynomial:
     """Sylvester resultant with respect to X_var, after clearing the
     monomial content of both inputs.  The result lives in the remaining
     variables, with coefficients at the lcm N of the input levels; it
@@ -847,8 +872,10 @@ def resultant(f, g: LaurentPolynomial, var: int,
     leading coefficient vanishes: the determinant commutes with every
     ring map, so no prime or point is unlucky and none is skipped.
 
-    The Galois pairing.  twist = eps states that N = 0 (mod 4) and
-    g = sigma(f)(eps X) up to a unit monomial, for the involution
+    The Galois pairing.  twist names g as a member of f's family, up to
+    a unit monomial; a sign twist, or a Galois twist at an odd N, is
+    taken as it is.  A Galois twist at N = 0 (mod 4) states that
+    g = sigma(f)(eps X) for eps = twist.eps and the involution
     sigma: zeta_N -> -zeta_N.  Write x for the other variables, K for
     their indices, v = var and R = Res_v(f, g), of formal shape (p, q).
     As sigma^2 = 1, sigma(R)(eps_K x) = Res_v(A, B) for A =
@@ -874,8 +901,6 @@ def resultant(f, g: LaurentPolynomial, var: int,
     if 0 in shape:
         raise ValueError("inputs must have positive degree in the variable")
     level = family.level
-    if twist is not None and level % 4:
-        raise ValueError("the Galois pairing needs a level divisible by 4")
     gterms, dg, gnorm = _integer_coordinates(g, level, var)
     bound = family.norm ** shape[1] * gnorm ** shape[0] * _power_bound(level)
     key = frozenset(g.terms)
@@ -883,10 +908,13 @@ def resultant(f, g: LaurentPolynomial, var: int,
         family.windows[key] = _exponent_window(family.poly, g, var)
     window = family.windows[key]
     exponents = list(product(*(range(lo, hi + 1) for lo, hi in window)))
-    signs = None if twist is None else [
-        (-twist[var]) ** (shape[0] * shape[1])
-        * prod(s for s, x in zip(twist[:var] + twist[var + 1:], e) if x % 2)
-        for e in exponents]
+    signs = None
+    if twist is not None and twist.kind == "galois" and level % 4 == 0:
+        eps = twist.eps
+        signs = [(-eps[var]) ** (shape[0] * shape[1])
+                 * prod(s for s, x in zip(eps[:var] + eps[var + 1:], e)
+                        if x % 2)
+                 for e in exponents]
     modulus, coords, index = 1, None, 0
     while modulus <= 2 * bound:
         field, frows, shifts = family.grid(index, window)

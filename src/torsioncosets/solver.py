@@ -23,11 +23,59 @@ found above the first.
 Univariate resultants are passed on as they are; cyclotomic_roots
 clears their monomial content itself.  The output is certified with one
 exact membership test per Galois orbit over the coefficient field.
+
+Order classes.  Which member of the twisted family vanishes at a torsion
+point zeta of H(f) depends only on the 2-adic valuations v_i =
+v_2(ord zeta_i).  With N the level and t = v_2(lcm(2, N)) (Q(zeta_N)
+holds the 2^t-th roots of unity and no others of 2-power order), zeta
+names the sign twist f(eps X), eps_i = -1 exactly where v_i = max v, if
+max v > t, and otherwise the Galois twist sigma(f)(eps X^s), eps_i = -1
+exactly where v_i = t.
+
+Points.  If zeta lies on H(f), it lies on the member it names.  Let M =
+lcm(ord zeta, N) and a = v_2(M).  If max v > t, then a = max v >= 2, so
+tau: zeta_M -> zeta_M^(1 + M/2) is an automorphism; it fixes zeta_N (N
+divides M/2) and maps zeta_i to zeta_i^(1 + M/2) = eps_i zeta_i, eps_i =
+-1 exactly where ord zeta_i does not divide M/2, that is v_i = a.  So
+0 = tau(f(zeta)) = f(eps zeta).  If max v <= t and N is odd (t = 1), tau
+squares the odd part of M and fixes -1: it maps zeta_N to zeta_N^2 =
+sigma(zeta_N), and zeta_i = +-w_i, w_i of odd order and the sign -1
+exactly where v_i = 1, to +-w_i^2 = eps_i zeta_i^2, so
+sigma(f)(eps zeta^2) = 0.  If max v <= t and 4 | N (t = v_2(N)), then
+a = t and tau: zeta_M -> zeta_M^(1 + M/2) maps zeta_N to -zeta_N =
+sigma(zeta_N), as N does not divide M/2, and zeta_i to -zeta_i exactly
+where v_i = t; so sigma(f)(eps zeta) = 0.
+
+Cosets.  A sub-solve carries an OrderClass, the valuation patterns its
+points can have (None for all, at the top), and must return cosets of
+H(f) that contain every torsion coset C of H(f) in which the points of
+those patterns are Zariski dense; with None that is every C, so the
+maximal filter leaves the maximal cosets.  Those points of C are the
+union over the finitely many members of the points each names, so for
+some member g_k the points it names are dense in C.  Each lies on g_k,
+so C lies on H(g_k), and its projection C' dropping X_n lies on the
+hypersurface of Res(f, g_k), with the projections of those points dense
+in C' and their patterns in the projected class of g_k.  The solve of
+the resultant with that class returns a coset containing C', and the
+restriction of f to its preimage one containing C.  So a member that no
+allowed pattern names is skipped with its resultant and its whole
+sub-solve.  At a minimal level no member is a multiple of f (f(eps X) =
+c f would make eps trivial on L(f) = Z^n, a stretched twist doubles the
+support, and sigma(f)(eps X) = c f would let the scaling by zeta_N where
+eps_i = -1 lower the level), so g_k is kept.  The class passes the
+monomial and binomial strips and the splits unchanged (C lies in one
+factor's hypersurface), and the level normalization by a shift
+(OrderClass.shift); the isogeny step and the restriction to a coset
+drop it, so the rule only removes work.  Resultants equal up to
+associates are solved once, with the union of their classes, and at
+n = 1 cyclotomic_roots skips the orders whose valuation the class
+excludes.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from math import gcd, lcm
 
 from .arith import (
@@ -55,7 +103,9 @@ from .lattices import (
 from .poly import (
     LaurentPolynomial,
     ResultantFamily,
+    Twist,
     _content_and_primitive,
+    _v2,
     cyclotomic_roots,
     multivariate_gcd,
     resultant,
@@ -68,12 +118,15 @@ class SolveStats:
     exact_certificates the number of exact membership tests the
     certification ran (one per Galois orbit of the output),
     dropped_candidates the auxiliary candidates left out as multiples
-    of f, and conjugated_candidates the point candidates whose cosets
-    were mapped from a Galois conjugate's instead of restricted."""
+    of f, skipped_members the members of a twisted family that no
+    allowed order class names (never built, no resultant), and
+    conjugated_candidates the point candidates whose cosets were mapped
+    from a Galois conjugate's instead of restricted."""
 
     __slots__ = ("max_depth", "resultants", "max_resultant_degree",
                  "splits", "subsolves", "max_level", "exact_certificates",
-                 "dropped_candidates", "conjugated_candidates")
+                 "dropped_candidates", "skipped_members",
+                 "conjugated_candidates")
 
     def __init__(self):
         self.max_depth = 0
@@ -84,6 +137,7 @@ class SolveStats:
         self.max_level = 0
         self.exact_certificates = 0
         self.dropped_candidates = 0
+        self.skipped_members = 0
         self.conjugated_candidates = 0
 
     def as_dict(self):
@@ -297,6 +351,110 @@ def minimal_level_normalize(f: LaurentPolynomial):
     return identity, level, reduced
 
 
+# ---------------------------------------------------------------------------
+# order classes: the 2-adic valuation patterns a sub-solve must find
+
+
+def _normal_form(v, cut: int) -> tuple[int, ...]:
+    # the values below cut as they are, the distinct values from cut on
+    # renumbered cut, cut + 1, ... in increasing order
+    big = sorted({x for x in v if x >= cut})
+    rank = {x: cut + i for i, x in enumerate(big)}
+    return tuple(rank.get(x, x) for x in v)
+
+
+@cache
+def _all_forms(n: int, cut: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(v for v in itertools.product(range(cut + n), repeat=n)
+                 if _normal_form(v, cut) == v)
+
+
+class OrderClass:
+    """A set of 2-adic valuation patterns v = (v_2(ord zeta_1), ...,
+    v_2(ord zeta_n)) of torsion points, exact for valuations of any
+    size.  The normal form of v at the cut K keeps the values below K
+    and renumbers the distinct values from K on as K, K + 1, ..., in
+    increasing order; it keeps every comparison between coordinates and
+    with the values below K.  The class is the finite set of the normal
+    forms of its patterns; a higher cut splits each form into those at
+    the new cut that it stands for."""
+
+    __slots__ = ("nvars", "cut", "forms")
+
+    def __init__(self, nvars: int, cut: int, forms):
+        self.nvars, self.cut, self.forms = nvars, cut, frozenset(forms)
+
+    def __contains__(self, v) -> bool:
+        return _normal_form(v, self.cut) in self.forms
+
+    def at_cut(self, cut: int) -> "OrderClass":
+        if cut <= self.cut:
+            return self
+        return OrderClass(self.nvars, cut, (
+            u for u in _all_forms(self.nvars, cut) if u in self))
+
+    def __or__(self, other: "OrderClass") -> "OrderClass":
+        cut = max(self.cut, other.cut)
+        return OrderClass(self.nvars, cut,
+                          self.at_cut(cut).forms | other.at_cut(cut).forms)
+
+    def project(self) -> "OrderClass":
+        """The patterns with the last coordinate dropped."""
+        return OrderClass(self.nvars - 1, self.cut,
+                          {_normal_form(u[:-1], self.cut) for u in self.forms})
+
+    def shift(self, a) -> "OrderClass":
+        """The patterns of x w for x in the class and w with the
+        2-adic order valuations a (of w or of w^-1): max(v, a_i) where
+        v != a_i, and every value below a_i where v = a_i >= 1, as the
+        2-parts of two roots of unity of the same order 2^a_i >= 2
+        multiply to any root of order 2^b, b < a_i."""
+        if not any(a):
+            return self
+        cls = self.at_cut(max(a) + 1)
+        forms = set()
+        for u in cls.forms:
+            forms.update(itertools.product(*(
+                range(y) if x == y and y else (max(x, y),)
+                for x, y in zip(u, a))))
+        return OrderClass(self.nvars, cls.cut, forms)
+
+
+def _member(v, t: int) -> Twist:
+    # the member that the normal form v, at a cut above t, names
+    top = max(v)
+    if top > t:
+        return Twist("sign", tuple(-1 if x == top else 1 for x in v))
+    return Twist("galois", tuple(-1 if x == t else 1 for x in v))
+
+
+def member_classes(classes, n: int, level: int) -> dict:
+    """Twist -> OrderClass: the patterns of classes (every pattern when
+    None) that name each member of the twisted family at the level N,
+    for the members that some pattern names (the rule and its proof are
+    in the module docstring).  The normal forms at a cut above
+    t = v_2(lcm(2, N)) keep max v, its positions and the comparisons
+    with t, so each form names one member.  The result is shared: do
+    not change it."""
+    t = _v2(lcm(2, level))
+    if classes is None:
+        return _every_member_class(n, t)
+    return _split_by_member(classes.at_cut(t + 1), t)
+
+
+@cache
+def _every_member_class(n: int, t: int) -> dict:
+    return _split_by_member(OrderClass(n, t + 1, _all_forms(n, t + 1)), t)
+
+
+def _split_by_member(classes: OrderClass, t: int) -> dict:
+    named: dict = {}
+    for u in classes.forms:
+        named.setdefault(_member(u, t), []).append(u)
+    return {twist: OrderClass(classes.nvars, classes.cut, forms)
+            for twist, forms in named.items()}
+
+
 def _galois_twist(f: LaurentPolynomial, t: int) -> LaurentPolynomial:
     # z_m -> z_m^t on each coefficient, at its level m; level-1
     # coefficients are fixed
@@ -304,11 +462,15 @@ def _galois_twist(f: LaurentPolynomial, t: int) -> LaurentPolynomial:
         lambda c: c if c.level == 1 else c.galois(t % c.level))
 
 
-def auxiliary_polynomials(f: LaurentPolynomial):
+def auxiliary_polynomials(f: LaurentPolynomial, members=None):
     """The twisted auxiliary family for a level-normalized f
     with L(f) = Z^n: at most 2^(n+1) - 1 polynomials of degree at most
     2 deg f, each sharing no factor with f, such that every torsion
-    coset of H(f) lies on one of their hypersurfaces.
+    coset of H(f) lies on one of their hypersurfaces.  Each member is
+    named by a Twist: the sign twists f(eps X), eps != 1, then the
+    Galois twists sigma(f)(eps X^s) (s = 2 at an odd level N, 1 at N = 0
+    (mod 4)).  With members, a collection of Twists such as the keys of
+    member_classes, only those members are built.
 
     Coprimality is decided by elimination of the last variable X_var,
     var = n - 1.  A content of f with respect to X_var (the gcd of its
@@ -318,11 +480,11 @@ def auxiliary_polynomials(f: LaurentPolynomial):
     in X_var is zero; only then is the gcd computed, and it either
     splits f or shows the candidate to be a multiple of f, which is
     dropped.  The resultants share one ResultantFamily of f; at a level
-    divisible by 4 each Galois twist sigma(f)(eps X) passes eps, so its
-    determinants are taken at half the roots of Phi_N.
+    divisible by 4 each Galois twist sigma(f)(eps X) is passed with its
+    name, so its determinants are taken at half the roots of Phi_N.
 
-    Returns ("aux", [(candidate, resultant), ...]), or ("split", factor)
-    with a nontrivial factor of f so the caller can split f and
+    Returns ("aux", [(twist, candidate, resultant), ...]), or ("split",
+    factor) with a nontrivial factor of f so the caller can split f and
     recurse."""
     # the Galois twists act on each coefficient at its minimal level
     f = f.map_coefficients(lambda c: c.minimal_level())
@@ -334,20 +496,23 @@ def auxiliary_polynomials(f: LaurentPolynomial):
     level = f.coefficient_level()
     if level % 4 == 2:
         raise RuntimeError(f"internal error: minimal level {level} is 2 mod 4")
+    sign_choices = list(itertools.product((1, -1), repeat=n))
+    names = ([Twist("sign", eps) for eps in sign_choices[1:]]
+             + [Twist("galois", eps) for eps in sign_choices])
+    if members is not None:
+        names = [twist for twist in names if twist in members]
     # at an odd level (level 1 included) the twist z -> z^2 goes with
     # X -> X^2, at a level divisible by 4 the twist z -> -z goes alone
     twisted = _galois_twist(f, conjugate_exponent(level))
     stretch = 2 if level % 2 else 1
-    sign_choices = list(itertools.product((1, -1), repeat=n))
-    raw = [(f.sign_variant(eps), None) for eps in sign_choices[1:]]
-    raw += [(twisted.sign_variant(eps).stretch_exponents(stretch),
-             eps if level % 4 == 0 else None) for eps in sign_choices]
     family = ResultantFamily(f, var)
     kept = []
-    for cand, twist in raw:
+    for twist in names:
+        cand = (f.sign_variant(twist.eps) if twist.kind == "sign" else
+                twisted.sign_variant(twist.eps).stretch_exponents(stretch))
         res = resultant(family, cand, var, twist)
         if not res.is_zero():
-            kept.append((cand, res))
+            kept.append((twist, cand, res))
             continue
         g = multivariate_gcd(f, cand)
         if g.is_unit():
@@ -367,7 +532,10 @@ def auxiliary_polynomials(f: LaurentPolynomial):
 
 
 def _solve_hypersurface(f: LaurentPolynomial, stats: SolveStats,
-                        depth: int) -> list[TorsionCoset]:
+                        depth: int, classes=None) -> list[TorsionCoset]:
+    # cosets of H(f) that contain every torsion coset of H(f) in which
+    # the points with valuation patterns in classes (all when None) are
+    # Zariski dense; with None, the maximal cosets (module docstring)
     stats.max_depth = max(stats.max_depth, depth)
     stats.subsolves += 1
     n = f.nvars
@@ -377,7 +545,7 @@ def _solve_hypersurface(f: LaurentPolynomial, stats: SolveStats,
     if work.is_unit():
         return []
     if n == 1:
-        roots = cyclotomic_roots(work)
+        roots = cyclotomic_roots(work, classes)
         # filtered like every other return, so the public order is the
         # sort_key order and the entry points need no second pass
         return maximal_filter(TorsionCoset.from_point(TorsionPoint([w]))
@@ -386,13 +554,17 @@ def _solve_hypersurface(f: LaurentPolynomial, stats: SolveStats,
     if work.is_unit():
         return maximal_filter(results)
     if work.exponent_lattice() != IntegerLattice.full(n):
+        # the class does not cross the isogeny
         fstar, pullback = rescale_to_full_lattice(work)
         sub = _solve_hypersurface(fstar, stats, depth + 1)
         results.extend(pullback(sub))
         return maximal_filter(results)
     scalings, level, scaled = minimal_level_normalize(work)
     stats.max_level = max(stats.max_level, level)
-    sub = _solve_full_lattice(scaled, stats, depth)
+    if classes is not None:
+        # a point y of the scaled f gives the point y * scalings of work
+        classes = classes.shift([_v2(w.order) for w in scalings])
+    sub = _solve_full_lattice(scaled, stats, depth, classes)
     shift = TorsionPoint(scalings)
     results.extend(c.translate(shift) for c in sub)
     return maximal_filter(results)
@@ -414,10 +586,13 @@ def _poly_associate_key(f: LaurentPolynomial):
 
 
 def _solve_full_lattice(f: LaurentPolynomial, stats: SolveStats,
-                        depth: int) -> list[TorsionCoset]:
+                        depth: int, classes=None) -> list[TorsionCoset]:
     """The cosets of H(f) for a level-normalized, binomial-free f with
     L(f) = Z^n: eliminate X_n by the auxiliary family, solve the
     resultants, and restrict f to the preimage of each candidate.
+
+    The order classes (module docstring) select the members built and
+    the patterns each resultant's solve must find.
 
     Point candidates are taken one Galois orbit at a time.  With N the
     coefficient level and c a point of order m, every t = 1 (mod N)
@@ -434,31 +609,40 @@ def _solve_full_lattice(f: LaurentPolynomial, stats: SolveStats,
     positive-dimensional candidate keeps its own restriction, as its
     conjugates may print another representative point."""
     n = f.nvars
-    kind, aux = auxiliary_polynomials(f)
+    # f is level-normalized: this is the level auxiliary_polynomials
+    # names its members at
+    level = f.coefficient_level()
+    named = member_classes(classes, n, level)
+    kind, aux = auxiliary_polynomials(f, named)
     if kind == "split":
         stats.splits += 1
         h = f.divide_exact(aux)
         if h is None:
             raise RuntimeError("internal error: split factor does not divide f")
-        return (_solve_hypersurface(aux, stats, depth + 1)
-                + _solve_hypersurface(h, stats, depth + 1))
-    candidates: dict = {}
-    seen_resultants: set = set()
+        # each coset of H(f) lies on one factor's hypersurface
+        return (_solve_hypersurface(aux, stats, depth + 1, classes)
+                + _solve_hypersurface(h, stats, depth + 1, classes))
     stats.resultants += len(aux)
-    stats.dropped_candidates += 2 ** (n + 1) - 1 - len(aux)
-    for _, gk in aux:
+    stats.skipped_members += 2 ** (n + 1) - 1 - len(named)
+    stats.dropped_candidates += len(named) - len(aux)
+    # associate key -> [resultant, union of the projected classes]
+    subsolves: dict = {}
+    for twist, _, gk in aux:
         gk, _ = gk.strip_monomial_content()
         if gk.is_unit():
             continue
         stats.max_resultant_degree = max(stats.max_resultant_degree,
                                          gk.total_degree())
         key = _poly_associate_key(gk)
-        if key in seen_resultants:
-            continue
-        seen_resultants.add(key)
-        for c in _solve_hypersurface(gk, stats, depth + 1):
+        sub = named[twist].project()
+        if key in subsolves:
+            subsolves[key][1] |= sub
+        else:
+            subsolves[key] = [gk, sub]
+    candidates: dict = {}
+    for gk, sub in subsolves.values():
+        for c in _solve_hypersurface(gk, stats, depth + 1, sub):
             candidates.setdefault(c.int_key(), c)
-    level = f.coefficient_level()
     results: list[TorsionCoset] = []
     # key of a point candidate -> (t, lifted cosets of the first
     # candidate of its orbit, which it is sigma_t of)

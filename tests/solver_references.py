@@ -3,7 +3,8 @@ solver._solve_full_lattice before it took the point candidates one
 Galois orbit at a time, kept verbatim (with the solver's helpers read
 off the module), so that a test can put it in place of the solver's and
 compare whole solves.  It restricts f to the preimage of every
-candidate."""
+candidate, and builds and solves the whole twisted family whatever the
+order classes."""
 
 from torsioncosets import solver
 from torsioncosets.arith import TorsionPoint
@@ -11,7 +12,7 @@ from torsioncosets.cosets import TorsionCoset, maximal_filter
 from torsioncosets.lattices import IntegerLattice
 
 
-def reference_solve_full_lattice(f, stats, depth):
+def reference_solve_full_lattice(f, stats, depth, classes=None):
     # L(f) = Z^n, level-normalized, binomial-free
     n = f.nvars
     kind, aux = solver.auxiliary_polynomials(f)
@@ -26,7 +27,7 @@ def reference_solve_full_lattice(f, stats, depth):
     seen_resultants: set = set()
     stats.resultants += len(aux)
     stats.dropped_candidates += 2 ** (n + 1) - 1 - len(aux)
-    for _, gk in aux:
+    for _, _, gk in aux:
         gk, _ = gk.strip_monomial_content()
         if gk.is_unit():
             continue

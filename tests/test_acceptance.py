@@ -152,14 +152,14 @@ def test_criterion_5_twisted_family_contract():
             splits += 1
             continue  # splitting is an allowed outcome of the contract
         assert 1 <= len(aux) <= 2 ** (n + 1) - 1
-        for p, _ in aux:
+        for _, p, _ in aux:
             work, _ = p.strip_monomial_content()
             if work.total_degree() > 2 * d:
                 failures += 1
             if not multivariate_gcd(f, p).is_unit():
                 failures += 1
         for q in brute_force_points([f], 20, budget=5_000_000):
-            if not any(p.vanishes_at(q) for p, _ in aux):
+            if not any(p.vanishes_at(q) for _, p, _ in aux):
                 failures += 1
     assert failures == 0
     _report("5 twisted-family contract",

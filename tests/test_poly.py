@@ -1001,7 +1001,8 @@ def _twisted_family(f, level):
     sigma = _galois_twist(f, level)
     out = [(f.sign_variant(eps), None) for eps in signs[1:]]
     if level % 4 == 0:
-        return out + [(sigma.sign_variant(eps), eps) for eps in signs]
+        return out + [(sigma.sign_variant(eps), poly.Twist("galois", eps))
+                      for eps in signs]
     return out + [(sigma.sign_variant(eps).stretch_exponents(2), None)
                   for eps in signs]
 

@@ -501,7 +501,7 @@ def test_auxiliary_polynomials_rational():
     kind, aux = auxiliary_polynomials(f)
     assert kind == "aux"
     assert len(aux) == 7  # 3 sign variants + 4 squared variants
-    for p, _ in aux:
+    for _, p, _ in aux:
         work, _ = p.strip_monomial_content()
         assert work.total_degree() <= 2 * f.total_degree()
         assert multivariate_gcd(f, p).is_unit()
@@ -517,8 +517,8 @@ def test_auxiliary_polynomials_gaussian():
     # dropped; the other six survive
     assert len(aux) == 6
     tau_image = poly2({(1, 0): 1, (0, 1): 1, (0, 0): z4})
-    assert any(p == tau_image for p, _ in aux)
-    for p, _ in aux:
+    assert any(p == tau_image for _, p, _ in aux)
+    for _, p, _ in aux:
         assert multivariate_gcd(f, p).is_unit()
     # the solver's normalization sends this f to level 1 anyway
     _, n, _ = minimal_level_normalize(f)
@@ -531,10 +531,10 @@ def test_auxiliary_polynomials_odd_level():
     kind, aux = auxiliary_polynomials(f)
     assert kind == "aux"
     assert 1 <= len(aux) <= 7
-    for p, _ in aux:
+    for _, p, _ in aux:
         assert multivariate_gcd(f, p).is_unit()
     # the squared variants carry sigma: z3 -> z3^2
-    squared = [p for p, _ in aux if p.total_degree() == 2]
+    squared = [p for _, p, _ in aux if p.total_degree() == 2]
     assert squared
     for p in squared:
         consts = [c for e, c in p.terms.items() if not any(e)]
@@ -548,7 +548,7 @@ def test_auxiliary_polynomials_odd_level():
     kind3, aux3 = auxiliary_polynomials(f3)
     assert kind6 == kind3 == "aux"
     assert len(aux6) == len(aux3)
-    for (p6, r6), (p3, r3) in zip(aux6, aux3):
+    for (_, p6, r6), (_, p3, r3) in zip(aux6, aux3):
         assert p6 == p3 and r6 == r3
 
 
@@ -619,8 +619,8 @@ def test_auxiliary_polynomials_matches_gcd_reference():
         ref_kind, ref_aux = _auxiliary_by_gcd(f)
         assert kind == ref_kind, f
         if kind == "aux":
-            assert [p for p, _ in aux] == ref_aux, f
-            assert not any(res.is_zero() for _, res in aux)
+            assert [p for _, p, _ in aux] == ref_aux, f
+            assert not any(res.is_zero() for _, _, res in aux)
         else:
             assert not aux.is_unit()
             quot = f.divide_exact(aux)
