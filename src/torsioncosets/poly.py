@@ -6,9 +6,11 @@ structural operations the torsion-coset machinery needs: support and
 exponent-lattice extraction, multi-prime modular Sylvester resultants,
 multivariate gcd, and exact root-of-unity root finding for univariate
 inputs.  resultant is one kernel for a pair and for a twisted family
-(a ResultantFamily keeps f's data, a Twist names each member); a Galois
-twist at a level divisible by 4 takes its determinants at half the roots
-of Phi_N.
+(a ResultantFamily keeps f's data, a Twist names each member): every
+named member's rows are read from one table of f's rows per prime, a
+Galois twist at a level divisible by 4 takes its determinants at half
+the roots of Phi_N and a sign twist of a kept variable at half the
+grid, and each grid's determinants share one modular inverse.
 LaurentPolynomial.slice_values is the one exact evaluation at a torsion
 point: the terms with equal e * G^T form a slice, and each slice sums
 into one integer accumulator at level lcm(N, m), reduced modulo
@@ -42,6 +44,7 @@ from .arith import (
     TorsionPoint,
     _level,
     _prime_factors,
+    conjugate_exponent,
     cyclotomic_polynomial,
     euler_phi,
 )
@@ -437,7 +440,7 @@ def squarefree_part(f: LaurentPolynomial) -> LaurentPolynomial:
             img[k] = (_eval_mod(c.num, pow(w, level // c.level, p), p)
                       * pow(c.den, -1, p) % p)
         der = [k * x % p for k, x in enumerate(img)][1:]
-        if _sylvester_mod(img, der, p):
+        if _sylvester_mod(img, der, p)[0]:
             return h
     der = LaurentPolynomial(1, {(k - 1,): c * k
                                 for (k,), c in h.terms.items() if k})
@@ -662,52 +665,91 @@ def _integer_coordinates(f: LaurentPolynomial, level: int, var: int):
     return terms, d, sum(abs(x) for *_, v in terms for x in v)
 
 
-def _sylvester_mod(a: list[int], b: list[int], p: int) -> int:
-    """The Sylvester determinant over F_p of the formal shape (m, n) =
-    (len(a) - 1, len(b) - 1), both positive; a and b ascending."""
+def _sylvester_mod(a: list[int], b: list[int], p: int) -> tuple[int, int]:
+    """(num, den) with num / den the Sylvester determinant over F_p of the
+    formal shape (m, n) = (len(a) - 1, len(b) - 1), both positive; a and
+    b ascending and left unchanged, den a product of nonzero leading
+    coefficients.  The Euclid loop is fraction-free: with b_0 the
+    leading coefficient of b, m - n + 1 steps r <- b_0 r - r_0 b leave
+    r = b_0^(m-n+1) (a mod b), and res(b, r) = b_0^((m-n+1)n)
+    res(b, a mod b), so the loop keeps the invariant that the
+    determinant is num / den times the resultant of the current pair."""
     m, n = len(a) - 1, len(b) - 1
     while a and not a[-1]:
-        a.pop()
+        a = a[:-1]
     while b and not b[-1]:
-        b.pop()
+        b = b[:-1]
     if not a or not b or (len(a) <= m and len(b) <= n):
-        return 0
+        return 0, 1
     # a dropped leading coefficient: Res_{m,n} = (-1)^(n(m-m')) b_n^(m-m')
     # Res_{m',n}; symmetrically Res_{m,n} = a_m^(n-n') Res_{m,n'}
-    acc = (pow(b[-1], m + 1 - len(a), p) * (-1) ** (n * (m + 1 - len(a)))
+    num = (pow(b[-1], m + 1 - len(a), p) * (-1) ** (n * (m + 1 - len(a)))
            * pow(a[-1], n + 1 - len(b), p))
-    a.reverse()
-    b.reverse()
+    den = 1
+    a, b = a[::-1], b[::-1]
     while True:
         m, n = len(a) - 1, len(b) - 1
         if n == 0:
-            return acc * pow(b[0], m, p) % p
+            return num * pow(b[0], m, p) % p, den
         if m < n:
-            acc = -acc if m * n % 2 else acc
+            num = -num if m * n % 2 else num
             a, b = b, a
             continue
-        inv = pow(b[0], -1, p)
+        lead, tail = b[0], b[1:] + [0] * (m - n)
         r = a
         for _ in range(m - n + 1):
-            c = r[0] * inv % p
-            r = [(x - c * y) % p for x, y in zip(r[1:], b[1:])] + r[n + 1:]
+            c = r[0]
+            r = [(lead * x - c * y) % p for x, y in zip(r[1:], tail)]
         k = next((i for i, x in enumerate(r) if x), n)
         if k == n:
-            return 0
-        # res(a, b) = (-1)^(mn) b_n^(m - deg r) res(b, a mod b)
-        acc = (-acc if m * n % 2 else acc) * pow(b[0], m - n + 1 + k, p) % p
+            return 0, 1
+        # res(a, b) = (-1)^(mn) b_0^(m - deg r) res(b, a mod b), deg r =
+        # n - 1 - k, and res(b, a mod b) = res(b, r) / b_0^((m-n+1)n)
+        e = (m - n + 1) * (1 - n) + k
+        if e < 0:
+            den = den * pow(lead, -e, p) % p
+        else:
+            num = num * pow(lead, e, p) % p
+        num = -num if m * n % 2 else num
         a, b = b, r[k:]
 
 
-def _interpolate(values: list[int], inv: list[int], p: int) -> list[int]:
-    # coefficients of the polynomial of degree < len(values) taking values[i]
-    # at t = i + 1: Newton divided differences, then Horner
+def _batch_inverse(xs: list[int], p: int) -> list[int]:
+    # the inverses mod p of nonzero xs by one modular inverse (Montgomery
+    # 1987): the prefix products, the inverse of the whole product, and
+    # one pass back that peels off one factor at a time
+    prefix, acc = [], 1
+    for x in xs:
+        prefix.append(acc)
+        acc = acc * x % p
+    acc = pow(acc, -1, p)
+    out = [0] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        out[i] = acc * prefix[i] % p
+        acc = acc * xs[i] % p
+    return out
+
+
+def _nodes(count: int) -> list[int]:
+    # the interpolation nodes of an axis: 1, -1, 2, -2, ...; count even
+    # makes the set closed under negation
+    return [(i // 2 + 1) * (1 - 2 * (i % 2)) for i in range(count)]
+
+
+def _interpolate(values: list[int], nodes: list[int], inv: list[int],
+                 p: int) -> list[int]:
+    # coefficients of the polynomial of degree < len(values) taking
+    # values[i] at nodes[i]: Newton divided differences, then Horner;
+    # inv[d] = 1/d mod p for every difference d of two nodes, negative
+    # ones at negative indices
     c = list(values)
     for j in range(1, len(c)):
-        c[j:] = [(x - y) * inv[j] % p for x, y in zip(c[j:], c[j - 1:])]
+        c[j:] = [(x - y) * inv[s - t] % p
+                 for x, y, s, t in zip(c[j:], c[j - 1:], nodes[j:], nodes)]
     acc = [c[-1]]
     for k in range(len(c) - 2, -1, -1):
-        acc = [(y - (k + 1) * x) % p for x, y in zip(acc + [0], [0] + acc)]
+        t = nodes[k]
+        acc = [(y - t * x) % p for x, y in zip(acc + [0], [0] + acc)]
         acc[0] = (acc[0] + c[k]) % p
     return acc
 
@@ -735,53 +777,46 @@ def _exponent_window(f: LaurentPolynomial, g: LaurentPolynomial, var: int):
     return window
 
 
-def _grid_rows(terms, roots, deg: int, window, p: int):
-    # at each node t_j = 1, ..., hi_j - lo_j + 1 of the window, in
-    # product order, the dense X_var-rows (ascending) of the images of
-    # the integer coordinates at the roots of Phi_N, one row per root
-    images = [(e, k, [sum(x * pow(r, j, p) for j, x in enumerate(v)) % p
-                      for r in roots]) for e, k, v in terms]
-    for point in product(*(range(1, hi - lo + 2) for lo, hi in window)):
-        rows = [[0] * (deg + 1) for _ in roots]
-        for e, k, v in images:
+class _Rows(dict):
+    """The dense X_var-rows (ascending) of integer coordinates at every
+    root of Phi_N modulo one prime, one row per root, keyed by grid
+    point and filled on first use."""
+
+    __slots__ = ("images", "deg", "p")
+
+    def __init__(self, terms, roots, deg: int, p: int):
+        self.images = [(e, k, [sum(x * pow(r, j, p) for j, x in enumerate(v))
+                               % p for r in roots]) for e, k, v in terms]
+        self.deg, self.p = deg, p
+
+    def __missing__(self, point):
+        p = self.p
+        rows = [[0] * (self.deg + 1) for _ in self.images[0][2]]
+        for e, k, v in self.images:
             mono = 1
             for t, x in zip(point, e):
                 mono = mono * pow(t, x, p) % p
             for row, x in zip(rows, v):
                 row[k] += x * mono
-        yield [[x % p for x in row] for row in rows]
+        out = self[point] = [[x % p for x in row] for row in rows]
+        return out
 
 
-def _resultant_mod(frows, grows, shifts, window, field, signs):
-    """Power-basis coordinates mod p of the resultant coefficients, flat
-    in the order (monomial of the output grid, coordinate), from the
-    rows at the grid nodes; with signs, grows has half the roots."""
-    p, roots, vinv = field
-    vals = []
-    for a_rows, b_rows, shift in zip(frows, grows, shifts):
-        vals.extend(_sylvester_mod(list(a), b, p) * shift % p
-                    for a, b in zip(a_rows, b_rows))
-    sizes = [hi - lo + 1 for lo, hi in window]
-    inv = [0, 1]
-    for i in range(2, max(sizes, default=1)):
-        inv.append(-(p // i) * inv[p % i] % p)
-    stride = len(vals)
-    for s in sizes:
-        stride //= s
-        for start in range(0, len(vals), stride * s):
-            for off in range(start, start + stride):
-                line = slice(off, off + stride * s, stride)
-                vals[line] = _interpolate(vals[line], inv, p)
-    if signs is not None:
-        half = len(vals) // len(signs)
-        vals = [x for i, s in enumerate(signs)
-                for at_r in (vals[i * half:(i + 1) * half],)
-                for x in at_r + [s * y % p for y in at_r]]
-    phi = len(roots)
-    if phi == 1:
-        return vals
-    return [sum(x * y for x, y in zip(row, vals[i:i + phi])) % p
-            for i in range(0, len(vals), phi) for row in vinv]
+def _interpolate_grid(vals, dims, sizes, inv, p):
+    # vals flat in the order (grid point, root), dims[j] nodes on axis j:
+    # the coefficients in the order (monomial, root), the first sizes[j]
+    # on axis j (the others are zero)
+    inner = len(vals)
+    for d, s in zip(dims, sizes):
+        inner //= d
+        nodes, out = _nodes(d), []
+        for start in range(0, len(vals), inner * d):
+            lines = [_interpolate(vals[off:start + inner * d:inner], nodes,
+                                  inv, p)[:s]
+                     for off in range(start, start + inner)]
+            out.extend(x for coeffs in zip(*lines) for x in coeffs)
+        vals = out
+    return vals
 
 
 class Twist(NamedTuple):
@@ -796,33 +831,86 @@ class Twist(NamedTuple):
 
 class ResultantFamily:
     """A polynomial f prepared once for its resultants in X_var with the
-    candidates of one family: f stripped, its integer coordinates and
-    1-norm at the level N, one exponent window per candidate support,
-    and per prime and window f's dense rows at the nodes."""
+    members of one family: f stripped, its integer coordinates at the
+    level N and their 1-norm (and that of its Galois twist), one
+    exponent window per candidate support, per prime one table of f's
+    rows that every named member reads, and per window and node counts
+    the grid points with, per prime, prod t_j^(-lo_j) at each and the
+    inverses of the node differences."""
 
-    __slots__ = ("poly", "var", "level", "terms", "den", "norm",
-                 "windows", "grids")
+    __slots__ = ("poly", "var", "level", "terms", "den", "norms", "first",
+                 "squares", "windows", "tables", "grids")
 
     def __init__(self, f: LaurentPolynomial, var: int, level: int = 1):
         if f.is_zero():
             raise ValueError("resultant of the zero polynomial")
         self.poly, _ = f.strip_monomial_content()
-        self.var, self.level = var, lcm(self.poly.coefficient_level(), level)
-        self.terms, self.den, self.norm = _integer_coordinates(
-            self.poly, self.level, var)
-        self.windows, self.grids = {}, {}
+        self.var, n = var, lcm(self.poly.coefficient_level(), level)
+        self.level = n
+        self.terms, self.den, norm = _integer_coordinates(self.poly, n, var)
+        self.norms = {"sign": norm}
+        e, c = next(iter(self.poly.terms.items()))
+        t = conjugate_exponent(n) % c.level
+        self.first = (e, c, c.galois(t) if c.level > 1 else c)
+        # at an odd N: the index of r^2 in the list of roots zeta^k of
+        # Phi_N, k the units mod N in increasing order
+        units = [k for k in range(1, n + 1) if gcd(k, n) == 1]
+        at = {k % n: i for i, k in enumerate(units)}
+        self.squares = [at[2 * k % n] for k in units] if n % 2 else None
+        self.windows, self.tables, self.grids = {}, {}, {}
 
-    def grid(self, index: int, window):
-        # the index-th prime's field, and f's rows and prod t_j^(-lo_j)
-        # at each node of the window
-        key = (index, tuple(window))
+    def window(self, g: LaurentPolynomial):
+        key = frozenset(g.terms)
+        if key not in self.windows:
+            self.windows[key] = tuple(_exponent_window(self.poly, g, self.var))
+        return self.windows[key]
+
+    def member(self, twist: Twist, g: LaurentPolynomial) -> tuple[bool, int]:
+        # (stretched, s): g stripped is s = +-1 times the member's formula
+        # applied to f stripped, read off the term at f's first exponent
+        # (doubled when stretched)
+        e, c, conjugate = self.first
+        galois = twist.kind == "galois"
+        if galois and self.level % 4 == 2:
+            raise ValueError("no Galois twist at a level 2 (mod 4)")
+        stretched = galois and self.level % 2 == 1
+        c = conjugate if galois else c
+        if sum(x for x, s in zip(e, twist.eps) if s < 0) % 2:
+            c = -c
+        got = g.terms.get(tuple(2 * x for x in e) if stretched else e, 0)
+        deg = self.poly.degree_in(self.var)
+        if g.degree_in(self.var) == (1 + stretched) * deg:
+            if got == c:
+                return stretched, 1
+            if got == -c:
+                return stretched, -1
+        raise ValueError("g is not the member of f's family its twist names")
+
+    def table(self, index: int):
+        # the index-th prime's field and the table of f's rows
+        if index not in self.tables:
+            field = _prime_field(self.level, index)
+            self.tables[index] = (field, _Rows(
+                self.terms, field[1], self.poly.degree_in(self.var), field[0]))
+        return self.tables[index]
+
+    def grid(self, index: int, window, dims):
+        # modulo the index-th prime, with dims[j] nodes on axis j: the
+        # points in product order, the index of each, prod t_j^(-lo_j) at
+        # each, and inv[d] = 1/d for the node differences |d| <= max(dims)
+        key = (index, window, dims)
         if key not in self.grids:
-            field = p, roots, _ = _prime_field(self.level, index)
-            tables = [[pow(t, -lo, p) for t in range(1, hi - lo + 2)]
-                      for lo, hi in window]
-            self.grids[key] = (field, list(_grid_rows(
-                self.terms, roots, self.poly.degree_in(self.var), window, p)),
-                [prod(ts) % p for ts in product(*tables)])
+            p = self.table(index)[0][0]
+            axes = [_nodes(d) for d in dims]
+            points = list(product(*axes))
+            shifts = [prod(ts) % p for ts in product(*(
+                [pow(t, -lo, p) for t in ts]
+                for (lo, _), ts in zip(window, axes)))]
+            inv = [0, 1]
+            for i in range(2, max(dims, default=1) + 1):
+                inv.append(-(p // i) * inv[p % i] % p)
+            self.grids[key] = (points, {t: i for i, t in enumerate(points)},
+                               shifts, inv + [p - x for x in inv[:0:-1]])
         return self.grids[key]
 
 
@@ -863,33 +951,68 @@ def resultant(f, g: LaurentPolynomial, var: int,
     weights are found by a Hungarian assignment in O((p + q)^3), once
     per support of g.
 
-    Modulo each P, z runs over the roots of Phi_N and each other X_j
-    over t = 1, ..., hi_j - lo_j + 1 (never 0); each determinant times
-    prod t_j^(-lo_j) is a polynomial of degree at most hi_j - lo_j in
-    X_j, and interpolation on these nodes and a Vandermonde solve give
-    the coordinates, coefficient k at exponent lo_j + k.  Every point
-    takes the determinant of the formal shape (p, q), also where a
-    leading coefficient vanishes: the determinant commutes with every
-    ring map, so no prime or point is unlucky and none is skipped.
+    Modulo each P, z runs over the roots r of Phi_N and each other X_j
+    over w_j = hi_j - lo_j + 1 nodes t = 1, -1, 2, -2, ... (never 0);
+    each determinant times prod t_j^(-lo_j) is a polynomial of degree
+    at most hi_j - lo_j in X_j, and interpolation on these nodes and a
+    Vandermonde solve give the coordinates, coefficient k at exponent
+    lo_j + k (more nodes on an axis give the same polynomial; the node
+    differences are integers of size at most the node count, inverted
+    by one table per prime).  Every
+    point takes the determinant of the formal shape (p, q), also where
+    a leading coefficient vanishes: the determinant commutes with every
+    ring map, so no prime or point is unlucky and none is skipped.  The
+    determinants come as fractions whose denominators are products of
+    leading coefficients (_sylvester_mod), so one modular inverse per
+    prime serves them all (_batch_inverse).
 
-    The Galois pairing.  twist names g as a member of f's family, up to
-    a unit monomial; a sign twist, or a Galois twist at an odd N, is
-    taken as it is.  A Galois twist at N = 0 (mod 4) states that
-    g = sigma(f)(eps X) for eps = twist.eps and the involution
-    sigma: zeta_N -> -zeta_N.  Write x for the other variables, K for
-    their indices, v = var and R = Res_v(f, g), of formal shape (p, q).
-    As sigma^2 = 1, sigma(R)(eps_K x) = Res_v(A, B) for A =
-    sigma(f)(eps_K x, y) and B = f(x, eps_v y), and Res_v(A, B) =
-    eps_v^(pq) Res_v(A(eps_v y), B(eps_v y)) = eps_v^(pq) Res_v(g, f) =
-    (-eps_v)^(pq) R.  So each coefficient c_e of R has sigma(c_e) =
-    (-eps_v)^(pq) eps_K^e c_e; the unit monomial and the denominators
-    change R by a rational factor, which sigma fixes.  The ring map
-    zeta_N -> r composed with sigma is zeta_N -> -r, and the roots
-    zeta^k, k < N/2, come first in their list, -zeta^k = zeta^(k + N/2)
-    half a list later.  So the image of c_e at -r is (-eps_v)^(pq)
-    eps_K^e times its image at r: the determinants and the interpolation
-    run at the first half of the roots, and these signs fill in the
-    second half before the Vandermonde solve."""
+    The members.  twist names g as a member of f's family.  Every
+    member's rows are f's rows, read from one table per prime of f's
+    rows at every root of Phi_N, keyed by grid point; g itself is
+    evaluated only without a twist.  Write x for the other variables, K
+    for their indices, v = var, and t, r for a grid point and a root.
+    g stripped is s = +-1 times the member's formula applied to f
+    stripped (f = X^m f_0 gives f(eps X) = eps^m X^m f_0(eps X)), and s
+    is read off one term of g; by res(f, s h) = s^p res(f, h) each
+    determinant is multiplied by s^p.  The rows of g at (t, r), with
+    coefficient k of X_v multiplied by eps_v^k:
+    - a sign twist f(eps X): f's rows at the point eps_K t and the
+      root r;
+    - a Galois twist sigma(f)(eps X) at N = 0 (mod 4), sigma: zeta_N ->
+      -zeta_N: f's rows at eps_K t and -r, as the ring map zeta_N -> r
+      composed with sigma is zeta_N -> -r;
+    - a Galois twist sigma(f)(eps X^2) at an odd N, sigma: zeta_N ->
+      zeta_N^2: f's rows at the point (eps_j t_j^2) and the root r^2,
+      with coefficient k moved to 2k.
+    So a stretched twist's rows at t and -t are read at one point.
+
+    The parity half-grid.  For a sign twist with eps_K != 1 let D(t) be
+    the formal-shape (p, p) determinant at one root, A(y) = f(eps_K t,
+    y) and B(y) = f(t, y), so D(t) = Res(B(y), A(eps_v y)) and
+    D(eps_K t) = Res(A(y), B(eps_v y)).  Res(P(cy), Q(cy)) =
+    c^(pq) Res(P, Q) and Res(P, Q) = (-1)^(pq) Res(Q, P) are identities
+    of polynomials in the formal coefficients, true also where leading
+    coefficients vanish, so D(t) = eps_v^(pq) Res(B(eps_v y), A(y)) =
+    (-eps_v)^(pq) D(eps_K t).  The flipped axes (eps_j = -1) take an
+    even number of nodes, closed under negation; only the points whose
+    first flipped coordinate is positive take determinants, and each
+    mirrored point eps_K t gets its partner's value times (-eps_v)^(pq)
+    (-1)^(sum of lo_j over the flipped j), the change of prod t_j^(-lo_j).
+
+    The Galois pairing.  A Galois twist at N = 0 (mod 4) states that
+    g = sigma(f)(eps X) for eps = twist.eps and the involution sigma.
+    With R = Res_v(f, g) of formal shape (p, q): as sigma^2 = 1,
+    sigma(R)(eps_K x) = Res_v(A, B) for A = sigma(f)(eps_K x, y) and
+    B = f(x, eps_v y), and Res_v(A, B) = eps_v^(pq) Res_v(A(eps_v y),
+    B(eps_v y)) = eps_v^(pq) Res_v(g, f) = (-eps_v)^(pq) R.  So each
+    coefficient c_e of R has sigma(c_e) = (-eps_v)^(pq) eps_K^e c_e; the
+    unit monomial and the denominators change R by a rational factor,
+    which sigma fixes.  The roots zeta^k, k < N/2, come first in their
+    list, -zeta^k = zeta^(k + N/2) half a list later, so the image of c_e
+    at -r is (-eps_v)^(pq) eps_K^e times its image at r: the
+    determinants and the interpolation run at the first half of the
+    roots, and these signs fill in the second half before the
+    Vandermonde solve."""
     family = (f if isinstance(f, ResultantFamily)
               else ResultantFamily(f, var, g.coefficient_level()))
     if family.var != var:
@@ -900,33 +1023,82 @@ def resultant(f, g: LaurentPolynomial, var: int,
     shape = (family.poly.degree_in(var), g.degree_in(var))
     if 0 in shape:
         raise ValueError("inputs must have positive degree in the variable")
-    level = family.level
-    gterms, dg, gnorm = _integer_coordinates(g, level, var)
-    bound = family.norm ** shape[1] * gnorm ** shape[0] * _power_bound(level)
-    key = frozenset(g.terms)
-    if key not in family.windows:
-        family.windows[key] = _exponent_window(family.poly, g, var)
-    window = family.windows[key]
+    level, phi = family.level, euler_phi(family.level)
+    window = family.window(g)
+    sizes = [hi - lo + 1 for lo, hi in window]
     exponents = list(product(*(range(lo, hi + 1) for lo, hi in window)))
-    signs = None
-    if twist is not None and twist.kind == "galois" and level % 4 == 0:
-        eps = twist.eps
-        signs = [(-eps[var]) ** (shape[0] * shape[1])
-                 * prod(s for s, x in zip(eps[:var] + eps[var + 1:], e)
-                        if x % 2)
+    kind, eps = twist if twist else (None, (1,) * (len(sizes) + 1))
+    stretched, scale = family.member(twist, g) if twist else (False, 1)
+    scale **= shape[0]
+    if twist is None:
+        gterms, dg, gnorm = _integer_coordinates(g, level, var)
+    else:
+        if kind not in family.norms:
+            family.norms[kind] = _integer_coordinates(g, level, var)[2]
+        dg, gnorm = family.den, family.norms[kind]
+    eps_v, eps = eps[var], eps[:var] + eps[var + 1:]
+    flipped = [j for j, s in enumerate(eps) if s < 0]
+    mirrored = kind == "sign" and bool(flipped)
+    sign_pq = (-eps_v) ** (shape[0] * shape[1])
+    # the parity half-grid: eps_K t takes this multiple of t's value
+    partner = sign_pq * (-1) ** sum(window[j][0] for j in flipped)
+    dims = tuple(d + d % 2 * (mirrored and s < 0) for d, s in zip(sizes, eps))
+    at_roots, signs = family.squares if stretched else range(phi), None
+    if kind == "galois" and not stretched:
+        at_roots = range(phi // 2, phi)
+        signs = [sign_pq * prod(s for s, x in zip(eps, e) if x % 2)
                  for e in exponents]
+    odd = slice(2, None, 4) if stretched else slice(1, None, 2)
+    h = len(at_roots)
+    bound = (family.norms["sign"] ** shape[1] * gnorm ** shape[0]
+             * _power_bound(level))
     modulus, coords, index = 1, None, 0
     while modulus <= 2 * bound:
-        field, frows, shifts = family.grid(index, window)
+        (p, roots, vinv), frows = family.table(index)
+        points, index_of, shifts, inv = family.grid(index, window, dims)
         index += 1
-        p, roots = field[0], field[1][:len(field[1]) // (2 if signs else 1)]
-        grows = _grid_rows(gterms, roots, shape[1], window, p)
-        residues = _resultant_mod(frows, grows, shifts, window, field, signs)
+        brows = frows if twist else _Rows(gterms, roots, shape[1], p)
+        # (index, source): the points that take determinants, each with
+        # the point of f's rows that the member reads
+        computed = [(i, tuple(s * x ** (1 + stretched)
+                              for s, x in zip(eps, t)))
+                    for i, t in enumerate(points)
+                    if not mirrored or t[flipped[0]] > 0]
+        nums, dens = [], []
+        for i, source in computed:
+            b_rows = brows[source]
+            for a, j in zip(frows[points[i]], at_roots):
+                b = b_rows[j]
+                if stretched:
+                    b = [0] * (2 * len(b) - 1)
+                    b[::2] = b_rows[j]
+                if eps_v < 0:
+                    b = b[:]
+                    b[odd] = [-x % p for x in b[odd]]
+                num, den = _sylvester_mod(a, b, p)
+                nums.append(num)
+                dens.append(den)
+        dets = iter([x * y % p for x, y in zip(nums, _batch_inverse(dens, p))])
+        vals = [0] * (len(points) * h)
+        for i, source in computed:
+            c = shifts[i] * scale
+            at = [next(dets) * c % p for _ in at_roots]
+            vals[i * h:(i + 1) * h] = at
+            if mirrored:
+                j = index_of[source]
+                vals[j * h:(j + 1) * h] = [x * partner % p for x in at]
+        vals = _interpolate_grid(vals, dims, sizes, inv, p)
+        if signs is not None:
+            vals = [x for i, s in enumerate(signs)
+                    for at_r in (vals[i * h:(i + 1) * h],)
+                    for x in at_r + [s * y % p for y in at_r]]
+        residues = vals if phi == 1 else [
+            sum(x * y for x, y in zip(row, vals[i:i + phi])) % p
+            for i in range(0, len(vals), phi) for row in vinv]
         step = pow(modulus, -1, p)
         coords = residues if coords is None else [
             x + modulus * ((r - x) * step % p) for x, r in zip(coords, residues)]
         modulus *= p
-    phi = euler_phi(level)
     den = family.den ** shape[1] * dg ** shape[0]
     out = {}
     for i, e in enumerate(exponents):

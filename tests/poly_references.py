@@ -2,11 +2,20 @@
 Laurent polynomial and of a torsion coset under a monoidal (unimodular)
 coordinate change, the specialization of a polynomial's leading
 variables at a torsion point, and the single-pair modular resultant
-kernel that poly.resultant replaced, kept verbatim.  The solver needs
-none of them: it restricts a polynomial to a torsion coset with
-LaurentPolynomial.slice_values at the coset's exponent matrix, its one
-isogeny step pulls cosets back by exponent congruences, and it takes
-the resultants of one auxiliary family through one ResultantFamily."""
+kernel that poly.resultant replaced, kept verbatim with its own
+determinant and interpolation.  That kernel evaluates f and g at every
+grid point, on the nodes t = 1, ..., s of each axis, and its
+_sylvester_mod divides by the leading coefficient at every Euclid step,
+one modular inverse each; poly.resultant reads every named member's
+rows from one table of f's rows, on the nodes 1, -1, 2, -2, ..., with
+a fraction-free Euclid loop and one inverse per grid.  So the same
+answers from both test the member-row maps, the parity half-grid and
+the fraction-free loop against code that has none of them.  The solver
+needs none of these references: it restricts a polynomial to a torsion
+coset with LaurentPolynomial.slice_values at the coset's exponent
+matrix, its one isogeny step pulls cosets back by exponent
+congruences, and it takes the resultants of one auxiliary family
+through one ResultantFamily."""
 
 from itertools import product
 from math import lcm
@@ -23,10 +32,8 @@ from torsioncosets.poly import (
     LaurentPolynomial,
     _exponent_window,
     _integer_coordinates,
-    _interpolate,
     _power_bound,
     _prime_field,
-    _sylvester_mod,
 )
 
 
@@ -66,6 +73,56 @@ def specialize(f: LaurentPolynomial, point) -> LaurentPolynomial:
     k = len(point)
     rows = identity_matrix(f.nvars)[k:]
     return LaurentPolynomial(f.nvars - k, f.slice_values(point, rows))
+
+
+def _sylvester_mod(a: list[int], b: list[int], p: int) -> int:
+    """The Sylvester determinant over F_p of the formal shape (m, n) =
+    (len(a) - 1, len(b) - 1), both positive; a and b ascending."""
+    m, n = len(a) - 1, len(b) - 1
+    while a and not a[-1]:
+        a.pop()
+    while b and not b[-1]:
+        b.pop()
+    if not a or not b or (len(a) <= m and len(b) <= n):
+        return 0
+    # a dropped leading coefficient: Res_{m,n} = (-1)^(n(m-m')) b_n^(m-m')
+    # Res_{m',n}; symmetrically Res_{m,n} = a_m^(n-n') Res_{m,n'}
+    acc = (pow(b[-1], m + 1 - len(a), p) * (-1) ** (n * (m + 1 - len(a)))
+           * pow(a[-1], n + 1 - len(b), p))
+    a.reverse()
+    b.reverse()
+    while True:
+        m, n = len(a) - 1, len(b) - 1
+        if n == 0:
+            return acc * pow(b[0], m, p) % p
+        if m < n:
+            acc = -acc if m * n % 2 else acc
+            a, b = b, a
+            continue
+        inv = pow(b[0], -1, p)
+        r = a
+        for _ in range(m - n + 1):
+            c = r[0] * inv % p
+            r = [(x - c * y) % p for x, y in zip(r[1:], b[1:])] + r[n + 1:]
+        k = next((i for i, x in enumerate(r) if x), n)
+        if k == n:
+            return 0
+        # res(a, b) = (-1)^(mn) b_n^(m - deg r) res(b, a mod b)
+        acc = (-acc if m * n % 2 else acc) * pow(b[0], m - n + 1 + k, p) % p
+        a, b = b, r[k:]
+
+
+def _interpolate(values: list[int], inv: list[int], p: int) -> list[int]:
+    # coefficients of the polynomial of degree < len(values) taking values[i]
+    # at t = i + 1: Newton divided differences, then Horner
+    c = list(values)
+    for j in range(1, len(c)):
+        c[j:] = [(x - y) * inv[j] % p for x, y in zip(c[j:], c[j - 1:])]
+    acc = [c[-1]]
+    for k in range(len(c) - 2, -1, -1):
+        acc = [(y - (k + 1) * x) % p for x, y in zip(acc + [0], [0] + acc)]
+        acc[0] = (acc[0] + c[k]) % p
+    return acc
 
 
 def _resultant_mod(fterms, gterms, shape, window, field):

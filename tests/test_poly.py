@@ -23,7 +23,13 @@ from torsioncosets.poly import (
     squarefree_part,
 )
 
-from poly_references import monoidal_image, single_pair_resultant, specialize
+from poly_references import (
+    _interpolate as reference_interpolate,
+    _sylvester_mod as reference_sylvester_mod,
+    monoidal_image,
+    single_pair_resultant,
+    specialize,
+)
 
 L = LaurentPolynomial
 
@@ -994,24 +1000,25 @@ def _galois_twist(f, level):
 
 
 def _twisted_family(f, level):
-    # the candidates of solver.auxiliary_polynomials with the pairing
-    # each one passes: f(eps X), eps != 1, then sigma(f)(eps X), paired,
-    # at a level divisible by 4, or sigma(f)(eps X^2), unpaired, else
+    # the members of solver.auxiliary_polynomials, each with its name:
+    # f(eps X), eps != 1, then sigma(f)(eps X) at a level divisible by 4
+    # (paired) or sigma(f)(eps X^2) at an odd level (stretched)
     signs = list(itertools.product((1, -1), repeat=f.nvars))
     sigma = _galois_twist(f, level)
-    out = [(f.sign_variant(eps), None) for eps in signs[1:]]
-    if level % 4 == 0:
-        return out + [(sigma.sign_variant(eps), poly.Twist("galois", eps))
-                      for eps in signs]
-    return out + [(sigma.sign_variant(eps).stretch_exponents(2), None)
-                  for eps in signs]
+    stretch = 1 if level % 4 == 0 else 2
+    return ([(f.sign_variant(eps), poly.Twist("sign", eps))
+             for eps in signs[1:]]
+            + [(sigma.sign_variant(eps).stretch_exponents(stretch),
+                poly.Twist("galois", eps)) for eps in signs])
 
 
 def test_resultant_family_matches_single_pair_kernel():
-    # every resultant of a twisted family, through one ResultantFamily
-    # and the Galois pairing, equals the single-pair kernel it replaced
+    # every resultant of a twisted family, each member read from f's rows
+    # through one ResultantFamily, equals the single-pair kernel it
+    # replaced, which evaluates g itself
     rng = random.Random(4242)
-    paired = zero = 0
+    kinds = {}
+    zero = 0
     for level in (1, 3, 4, 8, 12):
         for n in (2, 3):
             max_exp, var = (3 if n == 2 else 2), n - 1
@@ -1023,16 +1030,16 @@ def test_resultant_family_matches_single_pair_kernel():
                         return f
 
             draws = [draw(max_exp, 3, 1), draw(max_exp, 10**12, 3)]
-            # the leading coefficient x_1 - 1 in X_var vanishes at the
-            # node t_1 = 1 of every window, in f and in every candidate
-            # that keeps the sign of x_1
+            # the leading coefficients x_1 - 1 and x_1 + 1 in X_var vanish
+            # at the nodes t_1 = 1 and t_1 = -1 of every window, in f and
+            # in every member that keeps (flips) the sign of x_1
             top = [0] * n
             top[var] = max_exp + 1
-            draws.append(draws[0] + L.monomial(n, top)
-                         * (L.variable(n, 0) - 1))
+            draws += [draws[0] + L.monomial(n, top) * (L.variable(n, 0) + c)
+                      for c in (-1, 1)]
             # f = f0 h with h = sigma(f0)(eps X) (paired) or f0(eps X):
-            # the candidate sigma(f)(eps X) or f(eps X) is f itself, and
-            # its resultant is zero
+            # the member sigma(f)(eps X) or f(eps X) is f itself, and its
+            # resultant is zero
             f0 = draw(1, 3, 1)
             eps = rng.choice(list(itertools.product((1, -1), repeat=n))[1:])
             h = _galois_twist(f0, level) if level % 4 == 0 else f0
@@ -1042,9 +1049,93 @@ def test_resultant_family_matches_single_pair_kernel():
                 for g, twist in _twisted_family(f, level):
                     got = resultant(family, g, var, twist)
                     assert got == single_pair_resultant(f, g, var), (f, g)
-                    paired += twist is not None
+                    kind = "half-grid" if -1 in twist.eps[:var] else "sign"
+                    if twist.kind == "galois":
+                        kind = "paired" if level % 4 == 0 else "stretched"
+                    kinds[kind] = kinds.get(kind, 0) + 1
                     zero += got.is_zero()
-    assert paired == 3 * 4 * (4 + 8) and zero >= 10
+    assert kinds["paired"] == 3 * 5 * (4 + 8)
+    assert kinds["stretched"] == 2 * 5 * (4 + 8)
+    assert kinds["half-grid"] == 5 * 5 * (2 + 6)
+    assert kinds["sign"] == 5 * 5 * (1 + 1) and zero >= 10
+
+
+def test_determinant_matches_reference_kernel():
+    # the fraction-free determinant (num, den) against the reference's
+    # Euclid with one inverse per step, on shapes up to (12, 24): small
+    # primes make leading coefficients, remainders and their leading
+    # coefficients vanish often, and planted common factors and exact
+    # divisions give zero remainders
+    rng = random.Random(2727)
+    seen = set()
+    for p in (5, 7, 101, poly._prime_field(1, 0)[0]):
+        for _ in range(400):
+            m, n = rng.randint(1, 12), rng.randint(1, 24)
+            case = rng.randrange(4)
+            a = [rng.randrange(p) for _ in range(m + 1)]
+            b = [rng.randrange(p) for _ in range(n + 1)]
+            if case == 1 and n < m:
+                # b divides a: the first remainder is zero
+                c = [rng.randrange(p) for _ in range(m - n + 1)]
+                a = [sum(b[i] * c[k - i] for i in range(n + 1)
+                         if 0 <= k - i <= m - n) % p for k in range(m + 1)]
+            if case == 2:
+                # a common factor: a later remainder is zero
+                h = [rng.randrange(p)
+                     for _ in range(rng.randint(2, min(m, n) + 1))]
+                a = [x % p for x in _poly_mul(h, a[:m + 2 - len(h)])]
+                b = [x % p for x in _poly_mul(h, b[:n + 2 - len(h)])]
+            if case == 3:
+                # one or more leading coefficients vanish, on either side
+                za, zb = rng.randint(0, m), rng.randint(0, n)
+                a[m + 1 - za:] = [0] * za
+                b[n + 1 - zb:] = [0] * zb
+            saved = (list(a), list(b))
+            num, den = poly._sylvester_mod(a, b, p)
+            assert (a, b) == saved
+            assert den % p and 0 <= num < p
+            want = reference_sylvester_mod(list(a), list(b), p)
+            assert num * pow(den, -1, p) % p == want, (a, b, p)
+            seen.add((case, m < n, want == 0, not a[-1], not b[-1]))
+    assert {(2, True, True), (2, False, True), (1, False, True)} <= {
+        c[:3] for c in seen}
+    assert any(c[3] for c in seen) and any(c[4] for c in seen)
+
+
+def _poly_mul(u, v):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    return out
+
+
+def test_batch_inverse_and_interpolation_on_signed_nodes():
+    rng = random.Random(2728)
+    for p in (7, 101, poly._prime_field(4, 0)[0]):
+        for count in (0, 1, 2, 5, 40):
+            xs = [rng.randrange(1, p) for _ in range(count)]
+            assert [x * y % p for x, y in
+                    zip(xs, poly._batch_inverse(xs, p))] == [1] * count
+        # the nodes 1, -1, 2, -2, ...: distinct and nonzero modulo p, and
+        # interpolation through them returns the sampled polynomial, as
+        # the reference does on the nodes 1, ..., s
+        for size in (1, 2, 3, 6, 7):
+            if 2 * size >= p:
+                continue
+            nodes = poly._nodes(size)
+            assert len({t % p for t in nodes}) == size and 0 not in nodes
+            inv = [0] + [pow(d, -1, p) for d in range(1, size + 1)]
+            inv += [-x % p for x in inv[:0:-1]]
+            coeffs = [rng.randrange(p) for _ in range(size)]
+            vals = [sum(c * t ** k for k, c in enumerate(coeffs)) % p
+                    for t in nodes]
+            assert poly._interpolate(vals, nodes, inv, p) == coeffs
+            at = [sum(c * t ** k for k, c in enumerate(coeffs)) % p
+                  for t in range(1, size + 1)]
+            assert reference_interpolate(at, inv[:size], p) == coeffs
+            assert poly._interpolate(at, list(range(1, size + 1)), inv,
+                                     p) == coeffs
 
 
 def _support_range(h, axis):

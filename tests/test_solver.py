@@ -652,8 +652,9 @@ def test_dropped_candidates_are_counted_not_logged(caplog):
     assert caplog.records == []
 
 
-# the determinant counts of whole solves; the unpaired kernel of the
-# parent commit took 168 and 952 on the same curves
+# the determinant counts of whole solves; the unpaired kernel of an
+# earlier commit took 168 and 952 on the same curves, the paired one
+# without the parity half-grid 120 and 680
 _LEVEL4_CURVE = ("vars: x y\nfield: 4\npoly: (2 + z)*x^3*y^2 - 2*x^2*y^3"
                  " + (1 - 2*z)*x*y + 2*z*x^2 - y + 2\n")
 _LEVEL12_CURVE = (
@@ -663,25 +664,36 @@ _LEVEL12_CURVE = (
     " + (1 - z - 2*z^2)*y\n")
 
 
-@pytest.mark.parametrize("text, unpaired, paired", [
-    (_LEVEL4_CURVE, 168, 120), (_LEVEL12_CURVE, 952, 680)],
+@pytest.mark.parametrize("text, unpaired, count", [
+    (_LEVEL4_CURVE, 168, 96), (_LEVEL12_CURVE, 952, 544)],
     ids=["level4", "level12"])
 def test_galois_pairing_determinant_counts(monkeypatch, text, unpaired,
-                                           paired):
-    # 4 of the 7 candidates are Galois twists, each taking its
-    # determinants at half the roots of Phi_N: 5/7 of the count
-    calls = []
-    sylvester = poly._sylvester_mod
+                                           count):
+    # 4 of the 7 members are Galois twists, each taking its determinants
+    # at half the roots of Phi_N, and the sign twists f(-x, +-y) theirs
+    # at half the grid; only f(x, -y) takes them all, so the count is
+    # 4/7 of the unpaired one
+    calls, named = [], []
+    sylvester, kernel = poly._sylvester_mod, solver.resultant
 
     def counting(a, b, p):
-        calls.append(p)
+        calls.append(named[-1])
         return sylvester(a, b, p)
 
+    def naming(f, g, var, twist=None):
+        named.append(twist)
+        return kernel(f, g, var, twist)
+
     monkeypatch.setattr(poly, "_sylvester_mod", counting)
+    monkeypatch.setattr(solver, "resultant", naming)
     (f,) = parse_system(text).polynomials
     rep = hypersurface_cosets(f)
     assert rep.stats.resultants == 7
-    assert len(calls) == paired and 7 * paired <= 5 * unpaired
+    assert len(calls) == count and 7 * count <= 5 * unpaired
+    full = calls.count(poly.Twist("sign", (1, -1)))
+    assert 7 * full == unpaired and len(calls) == 4 * full
+    for twist in set(named) - {poly.Twist("sign", (1, -1))}:
+        assert 2 * calls.count(twist) == full, twist
 
 
 def test_g2_draw_138_needs_no_gcd(monkeypatch):
