@@ -32,19 +32,54 @@ zeta_B, ..., zeta_B^(phi(B)-1) of Q(zeta_B) are unique, and the sum of
 the rows is the coordinate vector of D*f(zeta_m^k).
 
 The scan decides the representatives in batches that share the first
-n - 1 coordinates, so that r_e = (e.prefix + e_n*k_n) mod m.  Each row
-also carries a fingerprint, its dot product with the fixed weights T^i
-mod P = 2^61 - 1; for each term one list operation maps the batch to
-the fingerprints of its residues, and the per-term lists are summed.
-The fingerprint is linear in the coordinates, so a zero sum of rows has
-a zero sum of fingerprints mod P whatever T and P are: no zero is lost.
-Only the points whose fingerprint sum is 0 mod P go on to the exact sum
-of rows, and only exact zeros are emitted.  A row and its fingerprint
-are built the first time their (term, residue) pair is met and then
-reused for every later representative of the same order.
-cross_check's `tested` counts one decision per Galois orbit: batches and
-fingerprints change how a representative is decided, not which points
-are tested.
+n - 1 coordinates, so that r_e = (e.prefix + e_n*k_n) mod m.  The
+fingerprint of a row is its dot product with the fixed weights T^i mod
+P = 2^61 - 1.  It is linear in the coordinates, so a zero sum of rows
+has a zero sum of fingerprints mod P whatever T and P are: no zero is
+lost.  Being linear, it needs no row: the fingerprint of term e at
+residue r is the sum of c * fp(zeta_B^k) mod P over the term's
+coefficients c at positions k = r*B/m + p, and fp(zeta_B^k) =
+<power(k), T^i> mod P is kept once per compiled order for all its terms.
+Only the points whose fingerprint sum is 0 mod P are selected for the
+exact sum of rows, and only exact zeros are emitted.  A row is built the
+first time a selected point needs it, and a fingerprint the first time
+its (term, residue) pair is met; both are reused for the rest of the
+order.
+
+A batch over the whole last coordinate, k_n in range(m), is tested in
+packed lanes.  The span of term e at base b is one integer whose lane k,
+the bits k*w to (k+1)*w - 1, holds e's fingerprint at (b + e_n*k) mod m.
+The sum S of the t spans adds the fingerprints lane by lane, and every
+lane sum s is below t*P < 2^w, w = max(64, bit length of t*P), so no lane
+carries into the next (w passes 64 once t > 8).  The fold
+(S & lo) + ((S >> 61) & hi), lo and hi masking the low 61 bits and the
+w - 61 bits above them in every lane, turns each s into
+v = (s mod 2^61) + floor(s / 2^61).  Since 2^61 = 1 (mod P), v = s
+(mod P), and v < P + t <= 2P, so s = 0 (mod P) exactly when v is 0 or
+P.  Both v and v xor P are below 2^62 <= 2^(w-1): every lane's top bit
+is clear.  So (tops - x) & tops, tops the top bit of every lane, takes
+no borrow across lanes and keeps a lane's top bit exactly when that lane
+of x is 0; applied to x = fold and x = fold ^ packed(P) it flags exactly
+the lanes with s = 0 (mod P), and the flagged lanes are the selected
+points.  A batch without a flag returns at once.  (The fold is modulo
+2^61 - 1; with P = 1, or with all weights 0, every fingerprint is 0 and
+every lane is flagged, so the lanes never select less than the point by
+point test.)
+
+The spans come from rotations.  Since e_n*m = 0 (mod m), span(b + e_n)
+is span(b) moved down one lane, its lane 0 wrapping round to the top.
+So with g = gcd(e_n, m), one doubled span, two copies of span(c) one
+above the other, for each class c = b mod g gives span(c + j*e_n) for
+every j < m/g as a shift by j lanes and a mask of m lanes.  At g = m,
+e_n = 0 (mod m), every lane of span(b) holds the fingerprint at b: it is
+that fingerprint times the packed ones.  A batch with a list of last
+coordinates (a prefix with gcd(m, prefix) > 1, and n = 1) looks up the
+fingerprints point by point instead.  Lane masks and spans belong to one
+compiled order.
+
+cross_check's `tested` counts one decision per Galois orbit: batches,
+fingerprints and lanes change how a representative is decided, not which
+points are tested.
 
 This module is the independent completeness reference for the solver,
 so it imports nothing from the library but `.arith`.
@@ -54,12 +89,13 @@ from __future__ import annotations
 
 from itertools import product
 from math import gcd, lcm
-from operator import mul
+from operator import getitem, mul
 
 from .arith import TorsionPoint, _level, _prime_factors, euler_phi
 
 # fingerprint of a row: its dot product with the weights T^i mod P
-_MODULUS = (1 << 61) - 1  # P, a Mersenne prime
+_BITS = 61
+_MODULUS = (1 << _BITS) - 1  # P, a Mersenne prime
 _BASE = 0x2545F4914F6CDD1D % _MODULUS  # T
 _WEIGHTS = (1,)  # T^i mod P for i < len, shared by every order
 
@@ -112,17 +148,38 @@ class OracleReport:
                 f"max_order={self.max_order}, tested={self.tested})")
 
 
-class _Residues(dict):
-    # one term's fingerprints by residue r; the row itself is kept in
-    # .rows.  A residue met for the first time builds both (see the
-    # module docstring)
-    __slots__ = ("level", "unit", "coeff_positions", "rows")
+class _Powers(dict):
+    # the fingerprint <power(k), weights> mod P of zeta_big^k by k < big,
+    # shared by the terms of one compiled order
+    __slots__ = ("level",)
 
-    def __init__(self, level, unit: int, coeff_positions):
+    def __init__(self, level):
+        super().__init__()
+        self.level = level
+
+    def __missing__(self, k: int) -> int:
+        level = self.level
+        weights = _weights(level.phi)
+        if k < level.phi:  # a basis vector
+            out = weights[k] % _MODULUS
+        else:
+            out = sum(map(mul, level.power(k), weights)) % _MODULUS
+        self[k] = out
+        return out
+
+
+class _Residues(dict):
+    # one term's fingerprints by residue r, read off the order's _Powers;
+    # the exact rows, built only for the residues of selected points, are
+    # kept in .rows (see the module docstring)
+    __slots__ = ("level", "unit", "coeff_positions", "powers", "rows")
+
+    def __init__(self, level, unit: int, coeff_positions, powers):
         super().__init__()
         self.level = level
         self.unit = unit
         self.coeff_positions = coeff_positions
+        self.powers = powers
         self.rows = {}
 
     def _row(self, r: int) -> list[int]:
@@ -140,17 +197,79 @@ class _Residues(dict):
                     row[i] += c * x
         return row
 
+    def row(self, r: int) -> list[int]:
+        row = self.rows.get(r)
+        if row is None:
+            row = self.rows[r] = self._row(r)
+        return row
+
     def __missing__(self, r: int) -> int:
-        row = self.rows[r] = self._row(r)
-        out = self[r] = sum(map(mul, row, _weights(len(row)))) % _MODULUS
+        base, big, powers = r * self.unit, self.level.n, self.powers
+        out = self[r] = sum([c * powers[(base + p) % big]
+                             for p, c in self.coeff_positions]) % _MODULUS
         return out
+
+
+class _Lanes:
+    # masks for m lanes of `width` bits, lane k at bits k*width and up,
+    # wide enough for the sum of t fingerprints < P
+    __slots__ = ("width", "full", "ones", "low", "high", "tops", "moduli")
+
+    def __init__(self, m: int, t: int):
+        width = self.width = max(64, (t * _MODULUS).bit_length())
+        full = self.full = (1 << m * width) - 1
+        ones = self.ones = full // ((1 << width) - 1)
+        self.low = ones * ((1 << _BITS) - 1)
+        self.high = ones * ((1 << width - _BITS) - 1)
+        self.tops = ones << width - 1
+        self.moduli = ones * _MODULUS
+
+    def zero_lanes(self, total: int) -> list[int]:
+        """The k, in order, whose lane of total is 0 mod P: one fold
+        modulo 2^61 - 1 and one exact zero test for 0 and for P."""
+        fold = (total & self.low) + ((total >> _BITS) & self.high)
+        tops = self.tops
+        flags = ((tops - fold) | (tops - (fold ^ self.moduli))) & tops
+        out = []
+        while flags:
+            bit = flags & -flags
+            out.append(bit.bit_length() // self.width - 1)
+            flags ^= bit
+        return out
+
+
+class _Spans(dict):
+    # one term's fingerprints at b + last*k for k < m, packed one per
+    # lane, by base residue b; a residue class mod gcd(last, m) is packed
+    # once and rotated (see the module docstring)
+    __slots__ = ("table", "last", "m", "lanes")
+
+    def __init__(self, table: _Residues, last: int, m: int, lanes: _Lanes):
+        super().__init__()
+        self.table, self.last, self.m, self.lanes = table, last, m, lanes
+
+    def __missing__(self, b: int) -> int:
+        table, last, m, lanes = self.table, self.last, self.m, self.lanes
+        g = gcd(last, m)
+        if g == m:  # every lane holds the fingerprint at b
+            out = self[b] = table[b] * lanes.ones
+            return out
+        width, c = lanes.width, b % g
+        packed = 0
+        for k in reversed(range(m)):
+            packed = (packed << width) | table[(c + last * k) % m]
+        doubled = (packed << m * width) | packed
+        for j in range(m // g):
+            self[(c + last * j) % m] = (doubled >> j * width) & lanes.full
+        return self[b]
 
 
 class _CompiledPoly:
     # integer-only evaluation data for one polynomial at one point order m:
     # per term, its exponent vector split into the first n - 1 entries and
-    # the last, and its residue table at level big = lcm(N_f, m)
-    __slots__ = ("terms",)
+    # the last, and its residue table at level big = lcm(N_f, m); per term
+    # also its packed spans, over the lanes of this order
+    __slots__ = ("terms", "lanes", "spans")
 
     def __init__(self, f, m: int):
         big = lcm(_system_level([f]), m)
@@ -158,6 +277,7 @@ class _CompiledPoly:
         for c in f.terms.values():
             den = lcm(den, c.den)
         level, unit = _level(big), big // m
+        powers = _Powers(level)
         terms = []
         for e, c in f.terms.items():
             mult = den // c.den
@@ -165,8 +285,11 @@ class _CompiledPoly:
             coeff_positions = tuple((k * step, x * mult)
                                     for k, x in enumerate(c.num) if x)
             terms.append((e[:-1], e[-1],
-                          _Residues(level, unit, coeff_positions)))
+                          _Residues(level, unit, coeff_positions, powers)))
         self.terms = terms
+        lanes = self.lanes = _Lanes(m, len(terms))
+        self.spans = [_Spans(table, last, m, lanes)
+                      for _, last, table in terms]
 
     def zeros(self, prefix, lasts, m: int) -> list[int]:
         """The k in lasts, in order, at which the polynomial vanishes at
@@ -174,14 +297,20 @@ class _CompiledPoly:
         exact sum of rows decides."""
         if not self.terms:
             return list(lasts)
-        bases = [sum(map(mul, head, prefix)) for head, _, _ in self.terms]
-        prints = [[table[(b + last * k) % m] for k in lasts]
-                  for b, (_, last, table) in zip(bases, self.terms)]
-        modulus = _MODULUS
-        selected = [k for k, s in zip(lasts, map(sum, zip(*prints)))
-                    if not s % modulus]
+        bases = [sum(map(mul, head, prefix)) % m for head, _, _ in self.terms]
+        if lasts == range(m):
+            selected = self.lanes.zero_lanes(
+                sum(map(getitem, self.spans, bases)))
+        else:
+            prints = [[table[(b + last * k) % m] for k in lasts]
+                      for b, (_, last, table) in zip(bases, self.terms)]
+            modulus = _MODULUS
+            selected = [k for k, s in zip(lasts, map(sum, zip(*prints)))
+                        if not s % modulus]
+        if not selected:
+            return selected
         return [k for k in selected if not any(map(sum, zip(*(
-            table.rows[(b + last * k) % m]
+            table.row((b + last * k) % m)
             for b, (_, last, table) in zip(bases, self.terms)))))]
 
     def vanishes(self, k, m: int) -> bool:
@@ -223,7 +352,7 @@ def _orbit_representatives(n: int, m: int, group):
     it.  The stabilizer of a prefix with d = gcd(m, prefix) is the units
     of the group that are 1 modulo m/d; once d = 1 it is trivial and the
     remaining coordinates are free."""
-    least = {}
+    least, tails = {}, {}
 
     def orbit_least(c):
         # residues mod m least in their orbit under the units = 1 mod c:
@@ -241,17 +370,18 @@ def _orbit_representatives(n: int, m: int, group):
         return out
 
     def extend(prefix, d):
-        if len(prefix) < n - 1:
-            if d == 1:
-                for head in product(range(m), repeat=n - 1 - len(prefix)):
-                    yield prefix + head, range(m)
-            else:
-                for v in orbit_least(m // d):
-                    yield from extend(prefix + (v,), gcd(d, v))
-        elif d == 1:
-            yield prefix, range(m)
+        if d == 1:
+            for head in product(range(m), repeat=n - 1 - len(prefix)):
+                yield prefix + head, range(m)
+        elif len(prefix) < n - 1:
+            for v in orbit_least(m // d):
+                yield from extend(prefix + (v,), gcd(d, v))
         else:
-            lasts = [v for v in orbit_least(m // d) if gcd(d, v) == 1]
+            # the last coordinates depend on the prefix only through d
+            lasts = tails.get(d)
+            if lasts is None:
+                lasts = tails[d] = [v for v in orbit_least(m // d)
+                                    if gcd(d, v) == 1]
             if lasts:
                 yield prefix, lasts
 
@@ -314,8 +444,13 @@ def cross_check(solve_report, system, max_order: int,
     system = list(system)
     points = brute_force_points(system, max_order, budget)
     cosets = solve_report.cosets
-    missed = [p for p in points
-              if not any(c.contains_point(p) for c in cosets)]
+    # a point lies in a point coset exactly when it is the coset's point:
+    # for dimension 0 the lattice is Z^n, and is_subcoset_of compares the
+    # canonical points; only the positive-dimensional cosets are scanned
+    singles = {c.point for c in cosets if not c.dimension}
+    curves = [c for c in cosets if c.dimension]
+    missed = [p for p in points if p not in singles
+              and not any(c.contains_point(p) for c in curves)]
     spurious = [c for c in cosets if not c.lies_on(system)]
     # H_m acts freely, so the J_n(m) points of exact order m fall into
     # J_n(m)/|H_m| orbits, each tested once; |H_m| = phi(m)/phi(gcd(m, N))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -182,6 +183,33 @@ def test_cross_check_gaussian_coefficients():
     rep = hypersurface_cosets(f)
     oracle = cross_check(rep, [f], 12)
     assert oracle.passed
+
+
+def test_cross_check_missed_points_match_per_coset_scan():
+    # missed_by_solver looks points up among the point cosets and scans
+    # only the positive-dimensional ones; the reference tests every
+    # (point, coset) pair.  Solver outputs with cosets dropped make the
+    # missed lists nonempty
+    z3 = CyclotomicNumber.zeta(3)
+    inputs = [(L(2, {(d, 0): 1, (0, d): 1, (1, 1): 1, (0, 0): 1}), 48)
+              for d in range(4, 25, 4)]
+    # the curve x*y = 1, the points of x + y = -1 and the curve
+    # x^2 = zeta_3 y
+    inputs.append((L(2, {(1, 1): 1, (0, 0): -1})
+                   * L(2, {(1, 0): 1, (0, 1): 1, (0, 0): 1})
+                   * L(2, {(2, 0): 1, (0, 1): -z3}), 24))
+    curves = 0
+    for f, max_order in inputs:
+        cosets = hypersurface_cosets(f).cosets
+        curves += sum(c.dimension == 1 for c in cosets)
+        for kept in (cosets, cosets[1::3], []):
+            rep = cross_check(SolveReport(kept, SolveStats(), [True] *
+                                          len(kept)), [f], max_order)
+            assert rep.missed_by_solver == [
+                p for p in rep.points
+                if not any(c.contains_point(p) for c in kept)]
+            assert bool(rep.missed_by_solver) == (kept is not cosets)
+    assert curves == 2
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +421,13 @@ def test_residue_rows_match_reference_kernel():
 
 
 def test_residue_rows_are_built_lazily(monkeypatch):
-    # each row is built on the first point that needs it, and once, so a
-    # scan builds at most one row per term per point decided; an eager
-    # table would build all terms * m rows of every order up front
+    # rows are built only for the residues of selected points, those whose
+    # fingerprints sum to 0 mod P, and each once: a scan builds at most one
+    # row per term per selected point.  An eager table would build all
+    # terms * m rows of every order up front
     init, zeros, row = (_CompiledPoly.__init__, _CompiledPoly.zeros,
                         _Residues._row)
-    compiled, decided, built = [], {}, {}
+    compiled, decided, selected, built = [], {}, {}, {}
 
     def recorded_init(self, f, m):
         init(self, f, m)
@@ -406,6 +435,10 @@ def test_residue_rows_are_built_lazily(monkeypatch):
 
     def counted_zeros(self, prefix, lasts, m):
         decided[id(self)] = decided.get(id(self), 0) + len(lasts)
+        selected[id(self)] = selected.get(id(self), 0) + sum(
+            not sum(table[(sum(map(mul, head, prefix)) + last * k) % m]
+                    for head, last, table in self.terms) % oracle._MODULUS
+            for k in lasts)
         return zeros(self, prefix, lasts, m)
 
     def counted_row(self, r):
@@ -417,14 +450,103 @@ def test_residue_rows_are_built_lazily(monkeypatch):
     monkeypatch.setattr(_Residues, "_row", counted_row)
     z12 = CyclotomicNumber.zeta(12)
     f = L(1, {(5,): z12, (1,): 1 + z12, (0,): -1})
-    assert brute_force_points([f], 300) == []
-    assert len(compiled) == 300
-    for c in compiled:
-        assert len(c.terms) == 3
-        for _, _, table in c.terms:
-            count = built.get(id(table), 0)
-            assert count == len(table.rows) <= decided.get(id(c), 0)
-    assert sum(built.values()) > 0
+    # g vanishes on the curve x*y = zeta_12, in full batches and in lists
+    g = L(2, {(2, 1): z12, (1, 0): 1 + z12, (0, 0): -1}) * \
+        L(2, {(1, 1): 1, (0, 0): -z12})
+    for h, max_order in ((f, 300), (g, 36)):
+        compiled.clear()
+        rows = len(h.terms)
+        points = brute_force_points([h], max_order)
+        assert bool(points) == (h is g)
+        assert len(compiled) == max_order
+        total = 0
+        for c in compiled:
+            assert len(c.terms) == rows
+            for _, _, table in c.terms:
+                count = built.get(id(table), 0)
+                assert count == len(table.rows) <= selected.get(id(c), 0) \
+                    <= decided.get(id(c), 0)
+                total += count
+        chosen = sum(selected.get(id(c), 0) for c in compiled)
+        assert total <= chosen * rows
+        # every representative of every emitted orbit was selected
+        assert chosen >= len({min(tuple(u * x % p.order for x in p.nums)
+                                  for u in _units(p.order,
+                                                  gcd(p.order, 12)))
+                              for p in points})
+        assert (total > 0) == (h is g)
+
+
+def _wide_poly(rng, n, level):
+    # 9 to 12 terms, negative exponents and denominators: a random sparse
+    # polynomial times x^e - zeta, which puts torsion points on it
+    while True:
+        h = L(n, {tuple(rng.randint(-2, 3) for _ in range(n)):
+                  _coefficient_with_denominator(rng, level)
+                  for _ in range(6)})
+        e = tuple(rng.randint(-1, 2) for _ in range(n))
+        if any(e):
+            f = h * L(n, {e: 1, (0,) * n: _root_of_unity(rng, level)})
+            if 9 <= len(f.terms) <= 12:
+                return f
+
+
+def test_full_batches_match_reference_kernel():
+    # the packed-lane test of a batch over the whole last coordinate
+    # against one exact evaluation per point, on every prefix.  The lanes
+    # hold sums of up to 12 fingerprints, some past 8P, so a lane too
+    # narrow for them carries into the next one; the last exponents fall
+    # in every rotation class (= 0 mod m, prime to m, a common factor
+    # with m)
+    rng = random.Random(29)
+    modulus = oracle._MODULUS
+    orders = {2: (6, 8, 9, 10, 12, 16), 3: (4, 6, 8, 9), 4: (3, 4, 6)}
+    classes, wide, found, tested = set(), 0, 0, 0
+    for n, ms in orders.items():
+        for level in (1, 3, 4, 12):
+            f = _wide_poly(rng, n, level)
+            for m in ms:
+                new, ref = _CompiledPoly(f, m), _ReferenceCompiledPoly(f, m)
+                assert len(new.terms) > 8
+                classes.update(0 if last % m == 0 else
+                               1 if gcd(last, m) == 1 else 2
+                               for _, last, _ in new.terms)
+                for prefix in product(range(m), repeat=n - 1):
+                    expected = [k for k in range(m)
+                                if ref.vanishes(prefix + (k,), m)]
+                    assert new.zeros(prefix, range(m), m) == expected, \
+                        (f, m, prefix)
+                    sums = [0] * m
+                    for head, last, table in new.terms:
+                        b = sum(map(mul, head, prefix))
+                        for k in range(m):
+                            sums[k] += table[(b + last * k) % m]
+                    wide += sum(s >= 8 * modulus for s in sums)
+                    found += len(expected)
+                    tested += m
+    # classes: 0 for last = 0 mod m, 1 for a unit, 2 for a common factor
+    assert classes == {0, 1, 2}
+    assert tested > 5 * found > 500
+    assert wide > 100
+
+
+def test_zero_lane_detector_is_exact():
+    # lanes hold sums of t fingerprints below P; a lane is flagged exactly
+    # when its sum is 0 mod P: 0 and P fold to 0 and P, their neighbours
+    # to neither, and a zero lane's borrow does not spill into the next
+    modulus = oracle._MODULUS
+    for t in (1, 2, 3, 8, 9, 12, 40):
+        top = t * (modulus - 1)  # the largest lane
+        values = [0, 1, modulus, modulus - 1, modulus + 1, 2 * modulus - 1,
+                  2 * modulus, 2 * modulus + 1, top, top - 1,
+                  # the largest folded value, P + t - 2
+                  (t - 1 << oracle._BITS) - 1, 0, 1, modulus, 1, 0]
+        values = [v for v in values if 0 <= v <= top]
+        for lanes in (values, values[::-1], values[1::2] + values[::2]):
+            packer = oracle._Lanes(len(lanes), t)
+            total = sum(v << k * packer.width for k, v in enumerate(lanes))
+            assert packer.zero_lanes(total) == \
+                [k for k, v in enumerate(lanes) if not v % modulus], t
 
 
 @pytest.mark.parametrize("name, value", [("_WEIGHTS", (0,)),
