@@ -127,7 +127,14 @@ class TorsionCoset:
         return (other.lattice.rows, p.order, p.nums) == other.int_key()
 
     def contains_point(self, point: TorsionPoint) -> bool:
-        return TorsionCoset.from_point(point).is_subcoset_of(self)
+        """point in self: the pairings of the point on our HNF rows are
+        ours (is_subcoset_of for the point's coset, whose lattice Z^n
+        contains every lattice)."""
+        if len(point) != self.ambient:
+            raise ValueError("ambient dimensions differ")
+        rows = self.lattice.rows
+        p = point.powers(rows)
+        return (rows, p.order, p.nums) == self.int_key()
 
     def translate(self, shift: TorsionPoint) -> "TorsionCoset":
         return TorsionCoset(self.point * shift, self.lattice)

@@ -38,13 +38,15 @@ P = 2^61 - 1.  It is linear in the coordinates, so a zero sum of rows
 has a zero sum of fingerprints mod P whatever T and P are: no zero is
 lost.  Being linear, it needs no row: the fingerprint of term e at
 residue r is the sum of c * fp(zeta_B^k) mod P over the term's
-coefficients c at positions k = r*B/m + p, and fp(zeta_B^k) =
-<power(k), T^i> mod P is kept once per compiled order for all its terms.
-Only the points whose fingerprint sum is 0 mod P are selected for the
-exact sum of rows, and only exact zeros are emitted.  A row is built the
-first time a selected point needs it, and a fingerprint the first time
-its (term, residue) pair is met; both are reused for the rest of the
-order.
+coefficients c at positions k = r*B/m + p.  fp(zeta_B^k) =
+<power(k), T^i> mod P depends on B alone, so one lazy table of them per
+level B serves a whole scan: the system's polynomials and its orders of
+equal B share it, and it lives only as long as one brute_force_points
+call.  Only the points whose fingerprint sum is 0 mod P are selected for
+the exact sum of rows, and only exact zeros are emitted.  A row is built
+the first time a selected point needs it, and a fingerprint the first
+time its residue, or its residue class below, is met; both are reused
+for the rest of the order.
 
 A batch over the whole last coordinate, k_n in range(m), is tested in
 packed lanes.  The span of term e at base b is one integer whose lane k,
@@ -72,10 +74,29 @@ So with g = gcd(e_n, m), one doubled span, two copies of span(c) one
 above the other, for each class c = b mod g gives span(c + j*e_n) for
 every j < m/g as a shift by j lanes and a mask of m lanes.  At g = m,
 e_n = 0 (mod m), every lane of span(b) holds the fingerprint at b: it is
-that fingerprint times the packed ones.  A batch with a list of last
-coordinates (a prefix with gcd(m, prefix) > 1, and n = 1) looks up the
-fingerprints point by point instead.  Lane masks and spans belong to one
-compiled order.
+that fingerprint times the packed ones.  The first span of a class c mod
+g fills the fingerprints of the m/g residues of that class in one call
+(`_Residues.fill`); a single-residue lookup is the same code called with
+one residue.
+
+At n >= 2 a batch with a list of last coordinates (a prefix with
+gcd(m, prefix) > 1, or a selection handed on by an earlier polynomial of
+the system) sums the same spans as a full batch, and the fold and the
+zero-lane test (tops - x) & tops run on every lane as above.  Only the
+flags are then ANDed with the mask of the listed lanes' top bits.  The
+subtraction must keep every top bit: an unlisted lane holds a sum too,
+nonzero in general, and under a minuend with the listed top bits alone
+it would borrow from the lane above and could clear that lane's flag.
+With tops no lane borrows, so the mask only drops the flags of unlisted
+lanes.  The walk hands every prefix of gcd d the same list tails[d], so
+its mask is kept per d for the compiled order; another list gets its
+mask built.  At n = 1 the one list of an order is looked up point by
+point: lanes would cost m fingerprints per term for phi(m)/|H_m| points.
+Lane masks and spans belong to one compiled order.
+
+The walk over the representatives (_orbit_representatives) is one loop
+over an explicit stack of prefixes, depth first, each prefix's children
+pushed in reverse so that the batches come off it in lex order.
 
 cross_check's `tested` counts one decision per Galois orbit: batches,
 fingerprints and lanes change how a representative is decided, not which
@@ -150,7 +171,7 @@ class OracleReport:
 
 class _Powers(dict):
     # the fingerprint <power(k), weights> mod P of zeta_big^k by k < big,
-    # shared by the terms of one compiled order
+    # shared by the terms of every compiled order of one scan at level big
     __slots__ = ("level",)
 
     def __init__(self, level):
@@ -169,7 +190,7 @@ class _Powers(dict):
 
 
 class _Residues(dict):
-    # one term's fingerprints by residue r, read off the order's _Powers;
+    # one term's fingerprints by residue r, read off the scan's _Powers;
     # the exact rows, built only for the residues of selected points, are
     # kept in .rows (see the module docstring)
     __slots__ = ("level", "unit", "coeff_positions", "powers", "rows")
@@ -203,11 +224,21 @@ class _Residues(dict):
             row = self.rows[r] = self._row(r)
         return row
 
+    def fill(self, residues) -> None:
+        """Keep the fingerprints of the residues not kept yet, all in one
+        call: the fingerprint at r is the sum of c * fp(zeta_big^k) mod P
+        over the term's coefficients c at positions k = r*big/m + p."""
+        missing = [r for r in residues if r not in self]
+        if missing:
+            big, powers, unit = self.level.n, self.powers, self.unit
+            positions, modulus = self.coeff_positions, _MODULUS
+            self.update([(r, sum([c * powers[(r * unit + p) % big]
+                                  for p, c in positions]) % modulus)
+                         for r in missing])
+
     def __missing__(self, r: int) -> int:
-        base, big, powers = r * self.unit, self.level.n, self.powers
-        out = self[r] = sum([c * powers[(base + p) % big]
-                             for p, c in self.coeff_positions]) % _MODULUS
-        return out
+        self.fill((r,))
+        return self[r]
 
 
 class _Lanes:
@@ -224,12 +255,20 @@ class _Lanes:
         self.tops = ones << width - 1
         self.moduli = ones * _MODULUS
 
-    def zero_lanes(self, total: int) -> list[int]:
-        """The k, in order, whose lane of total is 0 mod P: one fold
-        modulo 2^61 - 1 and one exact zero test for 0 and for P."""
+    def mask(self, ks) -> int:
+        """The top bits of the lanes k in ks."""
+        width = self.width
+        return sum([1 << (k + 1) * width - 1 for k in ks])
+
+    def zero_lanes(self, total: int, mask: int | None = None) -> list[int]:
+        """The k, in order, whose lane of total is 0 mod P, among the
+        lanes whose top bit is in mask (all lanes without one): one fold
+        modulo 2^61 - 1 and one exact zero test for 0 and for P, on
+        every lane, then the flags of the unmasked lanes dropped."""
         fold = (total & self.low) + ((total >> _BITS) & self.high)
         tops = self.tops
-        flags = ((tops - fold) | (tops - (fold ^ self.moduli))) & tops
+        flags = ((tops - fold) | (tops - (fold ^ self.moduli))) & (
+            tops if mask is None else mask)
         out = []
         while flags:
             bit = flags & -flags
@@ -255,6 +294,7 @@ class _Spans(dict):
             out = self[b] = table[b] * lanes.ones
             return out
         width, c = lanes.width, b % g
+        table.fill(range(c, m, g))
         packed = 0
         for k in reversed(range(m)):
             packed = (packed << width) | table[(c + last * k) % m]
@@ -267,17 +307,24 @@ class _Spans(dict):
 class _CompiledPoly:
     # integer-only evaluation data for one polynomial at one point order m:
     # per term, its exponent vector split into the first n - 1 entries and
-    # the last, and its residue table at level big = lcm(N_f, m); per term
-    # also its packed spans, over the lanes of this order
-    __slots__ = ("terms", "lanes", "spans")
+    # the last, and its residue table at level big = lcm(N_f, m); at
+    # n >= 2 per term also its packed spans, over the lanes of this order,
+    # and the lane masks of the listed last coordinates by prefix gcd
+    __slots__ = ("terms", "lanes", "spans", "masks")
 
-    def __init__(self, f, m: int):
+    def __init__(self, f, m: int, tables: dict | None = None):
+        # tables: the _Powers by level of one scan, shared by its
+        # polynomials and by its orders of equal level
         big = lcm(_system_level([f]), m)
         den = 1
         for c in f.terms.values():
             den = lcm(den, c.den)
         level, unit = _level(big), big // m
-        powers = _Powers(level)
+        if tables is None:
+            tables = {}
+        powers = tables.get(big)
+        if powers is None:
+            powers = tables[big] = _Powers(level)
         terms = []
         for e, c in f.terms.items():
             mult = den // c.den
@@ -287,9 +334,25 @@ class _CompiledPoly:
             terms.append((e[:-1], e[-1],
                           _Residues(level, unit, coeff_positions, powers)))
         self.terms = terms
-        lanes = self.lanes = _Lanes(m, len(terms))
-        self.spans = [_Spans(table, last, m, lanes)
-                      for _, last, table in terms]
+        self.lanes = self.spans = None
+        self.masks = {}
+        if f.nvars > 1:
+            lanes = self.lanes = _Lanes(m, len(terms))
+            self.spans = [_Spans(table, last, m, lanes)
+                          for _, last, table in terms]
+
+    def _mask(self, prefix, lasts, m: int) -> int:
+        # the lane mask of lasts: the walk lists tails[d] for every prefix
+        # of gcd d, so that mask is kept per d; another list (a selection
+        # handed on by an earlier polynomial) gets its mask built
+        d = gcd(m, *prefix)
+        kept = self.masks.get(d)
+        if kept is not None and kept[0] == lasts:
+            return kept[1]
+        mask = self.lanes.mask(lasts)
+        if kept is None:
+            self.masks[d] = (list(lasts), mask)
+        return mask
 
     def zeros(self, prefix, lasts, m: int) -> list[int]:
         """The k in lasts, in order, at which the polynomial vanishes at
@@ -298,9 +361,10 @@ class _CompiledPoly:
         if not self.terms:
             return list(lasts)
         bases = [sum(map(mul, head, prefix)) % m for head, _, _ in self.terms]
-        if lasts == range(m):
+        if self.spans is not None:
             selected = self.lanes.zero_lanes(
-                sum(map(getitem, self.spans, bases)))
+                sum(map(getitem, self.spans, bases)),
+                None if lasts == range(m) else self._mask(prefix, lasts, m))
         else:
             prints = [[table[(b + last * k) % m] for k in lasts]
                       for b, (_, last, table) in zip(bases, self.terms)]
@@ -369,13 +433,17 @@ def _orbit_representatives(n: int, m: int, group):
                         marked[u * v % m] = 1
         return out
 
-    def extend(prefix, d):
+    # depth first over the prefixes and their gcds d with m, the children
+    # pushed in reverse so that they come off the stack in lex order
+    stack = [((), m)]
+    while stack:
+        prefix, d = stack.pop()
         if d == 1:
             for head in product(range(m), repeat=n - 1 - len(prefix)):
                 yield prefix + head, range(m)
         elif len(prefix) < n - 1:
-            for v in orbit_least(m // d):
-                yield from extend(prefix + (v,), gcd(d, v))
+            stack += [(prefix + (v,), gcd(d, v))
+                      for v in reversed(orbit_least(m // d))]
         else:
             # the last coordinates depend on the prefix only through d
             lasts = tails.get(d)
@@ -384,8 +452,6 @@ def _orbit_representatives(n: int, m: int, group):
                                     if gcd(d, v) == 1]
             if lasts:
                 yield prefix, lasts
-
-    yield from extend((), m)
 
 
 def brute_force_points(system, max_order: int,
@@ -418,9 +484,9 @@ def brute_force_points(system, max_order: int,
         if covered > budget:
             raise BudgetExceededError(budget + 1, budget)
     level = _system_level(system)
-    found = []
+    found, tables = [], {}
     for m in range(1, max_order + 1):
-        compiled = [_CompiledPoly(f, m) for f in system]
+        compiled = [_CompiledPoly(f, m, tables) for f in system]
         group = _units(m, gcd(m, level))
         for prefix, lasts in _orbit_representatives(n, m, group):
             for c in compiled:
@@ -445,8 +511,8 @@ def cross_check(solve_report, system, max_order: int,
     points = brute_force_points(system, max_order, budget)
     cosets = solve_report.cosets
     # a point lies in a point coset exactly when it is the coset's point:
-    # for dimension 0 the lattice is Z^n, and is_subcoset_of compares the
-    # canonical points; only the positive-dimensional cosets are scanned
+    # for dimension 0 the rows are the identity, and contains_point
+    # compares the points; only the positive-dimensional cosets are scanned
     singles = {c.point for c in cosets if not c.dimension}
     curves = [c for c in cosets if c.dimension]
     missed = [p for p in points if p not in singles

@@ -248,3 +248,50 @@ def test_congruences_positive_dimensional():
     for c in cosets:
         # both classes satisfy the original congruence
         assert c.point.power((2, 2)) == RootOfUnity.one()
+
+
+def _primitive_lattice(rng, n, rank):
+    # the saturation of `rank` random small rows, redrawn until they are
+    # independent
+    while True:
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+        lattice = IntegerLattice(n, rows)
+        if lattice.rank == rank:
+            return lattice.orthogonal_complement().orthogonal_complement()
+
+
+def test_contains_point_matches_point_coset_containment():
+    # contains_point compares pairings on the coset's rows; the reference
+    # is containment of the point's own coset, whose lattice is Z^n
+    rng = random.Random(30)
+    on = off = 0
+    dims = set()
+    for _ in range(120):
+        n = rng.choice((3, 4))
+        dim = rng.randint(0, 3)
+        lattice = (IntegerLattice.full(n) if dim == 0 else
+                   _primitive_lattice(rng, n, n - dim))
+        m = rng.choice((1, 2, 6, 12, 30))
+        c = TorsionCoset(TorsionPoint([rng.randrange(m) for _ in range(n)],
+                                      m), lattice)
+        dims.add(c.dimension)
+        g = c.exponent_matrix()
+        for _ in range(6):
+            if rng.random() < 0.5:
+                # a point of the coset: the point times t^G for t torsion
+                q = rng.choice((1, 4, 5, 12))
+                t = [rng.randrange(q) for _ in g]
+                p = c.point * TorsionPoint(
+                    [sum(tj * row[i] for tj, row in zip(t, g))
+                     for i in range(n)], q)
+            else:
+                q = rng.choice((1, 3, 12, 60))
+                p = TorsionPoint([rng.randrange(q) for _ in range(n)], q)
+            expected = TorsionCoset.from_point(p).is_subcoset_of(c)
+            assert c.contains_point(p) == expected, (c, p)
+            on += expected
+            off += not expected
+    assert dims == {0, 1, 2, 3}
+    assert on > 150 and off > 150
+    with pytest.raises(ValueError):
+        c.contains_point(TorsionPoint([0] * (n + 1), 1))

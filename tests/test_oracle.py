@@ -429,8 +429,8 @@ def test_residue_rows_are_built_lazily(monkeypatch):
                         _Residues._row)
     compiled, decided, selected, built = [], {}, {}, {}
 
-    def recorded_init(self, f, m):
-        init(self, f, m)
+    def recorded_init(self, f, m, *tables):
+        init(self, f, m, *tables)
         compiled.append(self)
 
     def counted_zeros(self, prefix, lasts, m):
@@ -581,3 +581,213 @@ def test_colliding_fingerprints_are_decided_exactly(monkeypatch, name,
                 prints += [p for _, _, table in new.terms
                            for p in table.values()]
     assert prints and not any(prints)
+
+
+# ---------------------------------------------------------------------------
+# list batches in lanes, fingerprints a residue class at a time
+
+
+def _span_lanes(span, m, width):
+    return [span >> k * width & (1 << width) - 1 for k in range(m)]
+
+
+def test_list_batches_match_reference_kernel():
+    # the lane test of a batch with a list of last coordinates against one
+    # exact evaluation per point, on every prefix, those sharing a factor
+    # with m included.  The lists are the walk's own (their masks kept per
+    # prefix gcd), the zeros alone and random sublists (masks built on
+    # the fly): a listed zero lane then often sits just above an unlisted
+    # lane with a nonzero sum, where a borrow across lanes or a mask one
+    # lane off changes the answer.  At level 4 the polynomial has 9 to 12
+    # terms, so its lanes are wider than 64 bits
+    rng = random.Random(30)
+    modulus = oracle._MODULUS
+    orders = {2: (4, 6, 8, 9, 12), 3: (4, 6, 8), 4: (4, 6)}
+    shared = neighbours = found = 0
+    for n, ms in orders.items():
+        for level in (1, 3, 4, 12):
+            f = _wide_poly(rng, n, level) if level == 4 else \
+                _random_system_poly(rng, n, level)
+            for m in ms:
+                new, ref = _CompiledPoly(f, m), _ReferenceCompiledPoly(f, m)
+                walk = dict(_orbit_representatives(n, m,
+                                                   _units(m, gcd(m, level))))
+                for prefix in product(range(m), repeat=n - 1):
+                    expected = [k for k in range(m)
+                                if ref.vanishes(prefix + (k,), m)]
+                    sums = [0] * m
+                    for head, last, table in new.terms:
+                        b = sum(map(mul, head, prefix))
+                        for k in range(m):
+                            sums[k] += table[(b + last * k) % m]
+                    lists = [expected,
+                             [k for k in range(m) if rng.random() < 0.5],
+                             sorted(set(expected) | set(rng.sample(
+                                 range(m), m // 3)))]
+                    if isinstance(walk.get(prefix), list):
+                        lists.insert(0, walk[prefix])
+                        lists.append(walk[prefix])
+                    for lasts in lists:
+                        assert new.zeros(prefix, lasts, m) == [
+                            k for k in lasts if k in expected], \
+                            (f, m, prefix, lasts)
+                        listed = set(lasts)
+                        neighbours += sum(
+                            1 for k in expected
+                            if k in listed and k - 1 >= 0
+                            and k - 1 not in listed and sums[k - 1] % modulus)
+                    shared += gcd(m, *prefix) > 1
+                    found += len(expected)
+    assert shared > 300
+    assert found > 300
+    assert neighbours > 300
+
+
+def _reference_fingerprint(table, r):
+    # the per-residue formula, with fp(zeta_big^k) from the power basis
+    level, weights = table.level, oracle._weights(table.level.phi)
+    out = 0
+    for p, c in table.coeff_positions:
+        k = (r * table.unit + p) % level.n
+        power = [int(i == k) for i in range(level.phi)] if k < level.phi \
+            else level.power(k)
+        out += c * sum(map(mul, power, weights))
+    return out % oracle._MODULUS
+
+
+def test_class_built_fingerprints_match_per_residue_formula(monkeypatch):
+    # building the span at base b fills the fingerprints of exactly the
+    # residues = b mod gcd(last, m) in one call, without a single-residue
+    # lookup, each equal to the per-residue formula and to the fingerprint
+    # of its exact row, with every lane of every span the fingerprint at
+    # b + last*k; the last exponents fall in every rotation class (= 0 mod
+    # m, prime to m, a common factor with m)
+    rng = random.Random(31)
+    classes = set()
+    missing, lookups = _Residues.__missing__, []
+
+    def counted_missing(self, r):
+        lookups.append(r)
+        return missing(self, r)
+
+    monkeypatch.setattr(_Residues, "__missing__", counted_missing)
+    for n, level, ms in ((2, 1, (6, 8, 9)), (2, 12, (4, 10)),
+                         (3, 3, (6, 12)), (3, 8, (8, 5))):
+        f = _wide_poly(rng, n, level)
+        for m in ms:
+            new = _CompiledPoly(f, m)
+            width = new.lanes.width
+            for spans, (_, last, table) in zip(new.spans, new.terms):
+                g = gcd(last, m)
+                classes.add(0 if g == m else 1 if g == 1 else 2)
+                for b in rng.sample(range(m), m):
+                    before = set(table)
+                    lookups.clear()
+                    span = spans[b]
+                    if b % g not in {r % g for r in before}:
+                        assert set(table) - before == set(range(b % g, m, g))
+                        # at g = m the class is b alone
+                        assert lookups == ([b] if g == m else [])
+                    assert _span_lanes(span, m, width) == [
+                        table[(b + last * k) % m] for k in range(m)]
+                assert sorted(table) == list(range(m))
+                weights = oracle._weights(table.level.phi)
+                for r in range(m):
+                    assert table[r] == _reference_fingerprint(table, r) == \
+                        sum(map(mul, table._row(r), weights)) % oracle._MODULUS
+    assert classes == {0, 1, 2}
+
+
+def test_one_power_table_per_level_per_scan(monkeypatch):
+    # the polynomials of a scan and its orders of equal level B = lcm(N, m)
+    # share one _Powers; a new scan starts without one
+    init = _CompiledPoly.__init__
+    compiled = []
+
+    def recorded_init(self, f, m, *tables):
+        init(self, f, m, *tables)
+        compiled.append((m, _system_level([f]), self.terms[0][2].powers))
+
+    monkeypatch.setattr(_CompiledPoly, "__init__", recorded_init)
+    z3, z12 = CyclotomicNumber.zeta(3), CyclotomicNumber.zeta(12)
+    system = [L(2, {(1, 0): 1, (0, 1): z12, (0, 0): -1}),
+              L(2, {(1, 1): z3, (0, 0): 1})]
+    for scan in range(2):
+        brute_force_points(system, 24)
+    assert len(compiled) == 2 * 24 * 2
+    first, second = compiled[:48], compiled[48:]
+    for records in (first, second):
+        by_level = {}
+        for m, level, powers in records:
+            assert powers.level.n == lcm(level, m)
+            by_level.setdefault(powers.level.n, set()).add(id(powers))
+        assert all(len(ids) == 1 for ids in by_level.values())
+        # B = 12 at m = 1, 2, 3, 4, 6, 12 for the first polynomial and at
+        # m = 4, 12 for the second
+        assert sum(lcm(level, m) == 12 for m, level, _ in records) == 8
+    assert not {id(p) for _, _, p in first} & {id(p) for _, _, p in second}
+
+
+# ---------------------------------------------------------------------------
+# the flat orbit walk against the recursive one
+
+
+def _recursive_orbit_representatives(n: int, m: int, group):
+    """Yield, in lex order, the lex-least point of each orbit of group,
+    the acting group H_m (see _units), on the points k in (Z/m)^n of
+    exact order m, in nonempty batches (prefix, lasts): the points
+    prefix + (v,) for v in lasts, with prefix the first n - 1 coordinates.
+
+    A point is lex-least in its orbit exactly when each coordinate is
+    least in its orbit under the stabilizer of the coordinates before
+    it.  The stabilizer of a prefix with d = gcd(m, prefix) is the units
+    of the group that are 1 modulo m/d; once d = 1 it is trivial and the
+    remaining coordinates are free."""
+    least, tails = {}, {}
+
+    def orbit_least(c):
+        # residues mod m least in their orbit under the units = 1 mod c:
+        # walking up, keep each unmarked v and mark its orbit
+        out = least.get(c)
+        if out is None:
+            units = [u for u in group if (u - 1) % c == 0]
+            marked = bytearray(m)
+            out = least[c] = []
+            for v in range(m):
+                if not marked[v]:
+                    out.append(v)
+                    for u in units:
+                        marked[u * v % m] = 1
+        return out
+
+    def extend(prefix, d):
+        if d == 1:
+            for head in product(range(m), repeat=n - 1 - len(prefix)):
+                yield prefix + head, range(m)
+        elif len(prefix) < n - 1:
+            for v in orbit_least(m // d):
+                yield from extend(prefix + (v,), gcd(d, v))
+        else:
+            # the last coordinates depend on the prefix only through d
+            lasts = tails.get(d)
+            if lasts is None:
+                lasts = tails[d] = [v for v in orbit_least(m // d)
+                                    if gcd(d, v) == 1]
+            if lasts:
+                yield prefix, lasts
+
+    yield from extend((), m)
+
+
+def test_flat_walk_matches_recursive_walk():
+    batches = 0
+    for n in (1, 2, 3, 4):
+        for level in (1, 3, 4, 12):
+            for m in range(1, 37):
+                group = _units(m, gcd(m, level))
+                flat = list(_orbit_representatives(n, m, group))
+                assert flat == list(
+                    _recursive_orbit_representatives(n, m, group)), \
+                    (n, level, m)
+                batches += len(flat)
+    assert batches > 100_000
