@@ -29,7 +29,8 @@ D*c_e*zeta_B^(r*B/m), reduced modulo Phi_B; since Phi_B is monic they
 are integers.  A point is a zero exactly when the elementwise sum of its
 t rows, one per term, is all zero: coordinates in the power basis 1,
 zeta_B, ..., zeta_B^(phi(B)-1) of Q(zeta_B) are unique, and the sum of
-the rows is the coordinate vector of D*f(zeta_m^k).
+the rows is the coordinate vector of D*f(zeta_m^k), the fold modulo
+Phi_B of one length-B accumulator of the D*c_e (_Level.reduce, no rows).
 
 The scan decides the representatives in batches that share the first
 n - 1 coordinates, so that r_e = (e.prefix + e_n*k_n) mod m.  The
@@ -42,11 +43,10 @@ coefficients c at positions k = r*B/m + p.  fp(zeta_B^k) =
 <power(k), T^i> mod P depends on B alone, so one lazy table of them per
 level B serves a whole scan: the system's polynomials and its orders of
 equal B share it, and it lives only as long as one brute_force_points
-call.  Only the points whose fingerprint sum is 0 mod P are selected for
-the exact sum of rows, and only exact zeros are emitted.  A row is built
-the first time a selected point needs it, and a fingerprint the first
-time its residue, or its residue class below, is met; both are reused
-for the rest of the order.
+call.  Only the points whose fingerprint sum is 0 mod P get the exact
+test, and only exact zeros are emitted.  A fingerprint is computed when
+its residue, or its residue class below, is first met, and kept for the
+order.
 
 A batch over the whole last coordinate, k_n in range(m), is tested in
 packed lanes.  The span of term e at base b is one integer whose lane k,
@@ -190,39 +190,14 @@ class _Powers(dict):
 
 
 class _Residues(dict):
-    # one term's fingerprints by residue r, read off the scan's _Powers;
-    # the exact rows, built only for the residues of selected points, are
-    # kept in .rows (see the module docstring)
-    __slots__ = ("level", "unit", "coeff_positions", "powers", "rows")
+    # one term's fingerprints by residue r, read off the scan's _Powers
+    __slots__ = ("unit", "coeff_positions", "powers")
 
-    def __init__(self, level, unit: int, coeff_positions, powers):
+    def __init__(self, unit: int, coeff_positions, powers):
         super().__init__()
-        self.level = level
         self.unit = unit
         self.coeff_positions = coeff_positions
         self.powers = powers
-        self.rows = {}
-
-    def _row(self, r: int) -> list[int]:
-        # power-basis coordinates of den*c_e*zeta_big^(r*big/m) mod Phi_big
-        level = self.level
-        base = r * self.unit
-        row = [0] * level.phi
-        for p, c in self.coeff_positions:
-            k = (base + p) % level.n
-            if k < level.phi:  # a basis vector
-                row[k] += c
-                continue
-            for i, x in enumerate(level.power(k)):
-                if x:
-                    row[i] += c * x
-        return row
-
-    def row(self, r: int) -> list[int]:
-        row = self.rows.get(r)
-        if row is None:
-            row = self.rows[r] = self._row(r)
-        return row
 
     def fill(self, residues) -> None:
         """Keep the fingerprints of the residues not kept yet, all in one
@@ -230,7 +205,7 @@ class _Residues(dict):
         over the term's coefficients c at positions k = r*big/m + p."""
         missing = [r for r in residues if r not in self]
         if missing:
-            big, powers, unit = self.level.n, self.powers, self.unit
+            big, powers, unit = self.powers.level.n, self.powers, self.unit
             positions, modulus = self.coeff_positions, _MODULUS
             self.update([(r, sum([c * powers[(r * unit + p) % big]
                                   for p, c in positions]) % modulus)
@@ -319,12 +294,11 @@ class _CompiledPoly:
         den = 1
         for c in f.terms.values():
             den = lcm(den, c.den)
-        level, unit = _level(big), big // m
         if tables is None:
             tables = {}
         powers = tables.get(big)
         if powers is None:
-            powers = tables[big] = _Powers(level)
+            powers = tables[big] = _Powers(_level(big))
         terms = []
         for e, c in f.terms.items():
             mult = den // c.den
@@ -332,7 +306,7 @@ class _CompiledPoly:
             coeff_positions = tuple((k * step, x * mult)
                                     for k, x in enumerate(c.num) if x)
             terms.append((e[:-1], e[-1],
-                          _Residues(level, unit, coeff_positions, powers)))
+                          _Residues(big // m, coeff_positions, powers)))
         self.terms = terms
         self.lanes = self.spans = None
         self.masks = {}
@@ -356,8 +330,8 @@ class _CompiledPoly:
 
     def zeros(self, prefix, lasts, m: int) -> list[int]:
         """The k in lasts, in order, at which the polynomial vanishes at
-        the point (prefix, k)/m: a zero sum of fingerprints selects, the
-        exact sum of rows decides."""
+        the point (prefix, k)/m: a zero sum of fingerprints selects, and
+        one fold of the point's accumulator modulo Phi_big decides."""
         if not self.terms:
             return list(lasts)
         bases = [sum(map(mul, head, prefix)) % m for head, _, _ in self.terms]
@@ -371,14 +345,17 @@ class _CompiledPoly:
             modulus = _MODULUS
             selected = [k for k, s in zip(lasts, map(sum, zip(*prints)))
                         if not s % modulus]
-        if not selected:
-            return selected
-        return [k for k in selected if not any(map(sum, zip(*(
-            table.row((b + last * k) % m)
-            for b, (_, last, table) in zip(bases, self.terms)))))]
-
-    def vanishes(self, k, m: int) -> bool:
-        return bool(self.zeros(k[:-1], k[-1:], m))
+        level = self.terms[0][2].powers.level
+        big, out = level.n, []
+        for k in selected:
+            acc = [0] * big
+            for b, (_, last, table) in zip(bases, self.terms):
+                base = (b + last * k) % m * table.unit
+                for p, c in table.coeff_positions:
+                    acc[(base + p) % big] += c
+            if not any(level.reduce(acc)):
+                out.append(k)
+        return out
 
 
 def _jordan_totient(n: int, m: int) -> int:

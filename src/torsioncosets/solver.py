@@ -59,10 +59,17 @@ in C' and their patterns in the projected class of g_k.  The solve of
 the resultant with that class returns a coset containing C', and the
 restriction of f to its preimage one containing C.  So a member that no
 allowed pattern names is skipped with its resultant and its whole
-sub-solve.  At a minimal level no member is a multiple of f (f(eps X) =
-c f would make eps trivial on L(f) = Z^n, a stretched twist doubles the
-support, and sigma(f)(eps X) = c f would let the scaling by zeta_N where
-eps_i = -1 lower the level), so g_k is kept.  The class passes the
+sub-solve.  At a minimal level f divides no member g, so g_k is kept and
+a zero resultant splits f.  A sign twist, or a Galois twist at 4 | N,
+has f's support, so f | g makes g = c f: f(eps X) = c f would make eps
+trivial on L(f) = Z^n, and sigma(f)(eps X) = c f would let the scaling
+by zeta_N where eps_i = -1 lower the level.  A stretched twist is T(f)
+for the ring map T(h) = sigma(h)(eps X^2); f | T(f) gives f | T^k(f) =
+f(eps X^(2^k)), k the order of sigma, so x -> eps x^(2^k) maps V(f) into
+itself.  Its components are then preperiodic, hence torsion cosets (as
+is a variety that x -> u x^d, d >= 2 and u torsion, maps onto itself,
+and each component of its preimages): f would be a product of binomials,
+which the binomial strip removed.  The class passes the
 monomial and binomial strips and the splits unchanged (C lies in one
 factor's hypersurface), and the level normalization by a shift
 (OrderClass.shift); the isogeny step and the restriction to a coset
@@ -117,16 +124,14 @@ class SolveStats:
     coefficient level left by the level normalization,
     exact_certificates the number of exact membership tests the
     certification ran (one per Galois orbit of the output),
-    dropped_candidates the auxiliary candidates left out as multiples
-    of f, skipped_members the members of a twisted family that no
+    skipped_members the members of a twisted family that no
     allowed order class names (never built, no resultant), and
     conjugated_candidates the point candidates whose cosets were mapped
     from a Galois conjugate's instead of restricted."""
 
     __slots__ = ("max_depth", "resultants", "max_resultant_degree",
                  "splits", "subsolves", "max_level", "exact_certificates",
-                 "dropped_candidates", "skipped_members",
-                 "conjugated_candidates")
+                 "skipped_members", "conjugated_candidates")
 
     def __init__(self):
         self.max_depth = 0
@@ -136,7 +141,6 @@ class SolveStats:
         self.subsolves = 0
         self.max_level = 0
         self.exact_certificates = 0
-        self.dropped_candidates = 0
         self.skipped_members = 0
         self.conjugated_candidates = 0
 
@@ -463,8 +467,8 @@ def _galois_twist(f: LaurentPolynomial, t: int) -> LaurentPolynomial:
 
 
 def auxiliary_polynomials(f: LaurentPolynomial, members=None):
-    """The twisted auxiliary family for a level-normalized f
-    with L(f) = Z^n: at most 2^(n+1) - 1 polynomials of degree at most
+    """The twisted auxiliary family for a level-normalized, binomial-free
+    f with L(f) = Z^n: at most 2^(n+1) - 1 polynomials of degree at most
     2 deg f, each sharing no factor with f, such that every torsion
     coset of H(f) lies on one of their hypersurfaces.  Each member is
     named by a Twist: the sign twists f(eps X), eps != 1, then the
@@ -477,11 +481,11 @@ def auxiliary_polynomials(f: LaurentPolynomial, members=None):
     coefficients, polynomials in the other variables) that is not a
     unit is returned at once as ("split", content).  For primitive f, a
     candidate shares a factor with f exactly when its resultant with f
-    in X_var is zero; only then is the gcd computed, and it either
-    splits f or shows the candidate to be a multiple of f, which is
-    dropped.  The resultants share one ResultantFamily of f; at a level
-    divisible by 4 each Galois twist sigma(f)(eps X) is passed with its
-    name, so its determinants are taken at half the roots of Phi_N.
+    in X_var is zero; only then is the gcd computed, and it splits f, as
+    f divides no member (module docstring).  The resultants share one
+    ResultantFamily of f; at a level divisible by 4 each Galois twist
+    sigma(f)(eps X) is passed with its name, so its determinants are
+    taken at half the roots of Phi_N.
 
     Returns ("aux", [(twist, candidate, resultant), ...]), or ("split",
     factor) with a nontrivial factor of f so the caller can split f and
@@ -511,19 +515,14 @@ def auxiliary_polynomials(f: LaurentPolynomial, members=None):
         cand = (f.sign_variant(twist.eps) if twist.kind == "sign" else
                 twisted.sign_variant(twist.eps).stretch_exponents(stretch))
         res = resultant(family, cand, var, twist)
-        if not res.is_zero():
-            kept.append((twist, cand, res))
-            continue
-        g = multivariate_gcd(f, cand)
-        if g.is_unit():
-            raise RuntimeError("internal error: zero resultant of a "
-                               "candidate coprime to a primitive f")
-        quot = f.divide_exact(g)
-        if quot is not None and not quot.is_unit():
+        if res.is_zero():
+            g = multivariate_gcd(f, cand)
+            quot = f.divide_exact(g)
+            if g.is_unit() or quot is None or quot.is_unit():
+                raise RuntimeError("internal error: a zero resultant "
+                                   "without a proper factor of f")
             return "split", g
-        # the candidate is a multiple of f: it carries no information
-        # and the twisted-family argument drops it (the caller counts it
-        # in SolveStats.dropped_candidates)
+        kept.append((twist, cand, res))
     return "aux", kept
 
 
@@ -624,7 +623,6 @@ def _solve_full_lattice(f: LaurentPolynomial, stats: SolveStats,
                 + _solve_hypersurface(h, stats, depth + 1, classes))
     stats.resultants += len(aux)
     stats.skipped_members += 2 ** (n + 1) - 1 - len(named)
-    stats.dropped_candidates += len(named) - len(aux)
     # associate key -> [resultant, union of the projected classes]
     subsolves: dict = {}
     for twist, _, gk in aux:

@@ -26,7 +26,6 @@ def reference_solve_full_lattice(f, stats, depth, classes=None):
     candidates: dict = {}
     seen_resultants: set = set()
     stats.resultants += len(aux)
-    stats.dropped_candidates += 2 ** (n + 1) - 1 - len(aux)
     for _, _, gk in aux:
         gk, _ = gk.strip_monomial_content()
         if gk.is_unit():

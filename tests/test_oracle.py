@@ -7,7 +7,13 @@ from operator import mul
 import pytest
 
 from torsioncosets import oracle
-from torsioncosets.arith import CyclotomicNumber, TorsionPoint, _level, euler_phi
+from torsioncosets.arith import (
+    CyclotomicNumber,
+    TorsionPoint,
+    _level,
+    _Level,
+    euler_phi,
+)
 from torsioncosets.cosets import TorsionCoset
 from torsioncosets.lattices import IntegerLattice
 from torsioncosets.oracle import (
@@ -45,6 +51,11 @@ def _representatives(n, m, level):
             in _orbit_representatives(n, m, group) for v in lasts]
 
 
+def _vanishes(compiled, k, m):
+    # one point decided as a batch with a one-element list
+    return bool(compiled.zeros(k[:-1], [k[-1]], m))
+
+
 def _grid_size(n, max_order):
     return sum(len(_exact_order_points(n, m)) for m in range(1, max_order + 1))
 
@@ -58,7 +69,7 @@ def _grid_points(system, max_order):
     for m in range(1, max_order + 1):
         compiled = [_CompiledPoly(f, m) for f in system]
         for k in _exact_order_points(n, m):
-            if all(c.vanishes(k, m) for c in compiled):
+            if all(_vanishes(c, k, m) for c in compiled):
                 found.append(tuple(Fraction(x, m) for x in k))
     found.sort()
     return [TorsionPoint(f) for f in found]
@@ -340,7 +351,7 @@ def test_over_budget_scan_compiles_and_tests_nothing(monkeypatch):
         raise AssertionError("the scan ran before the budget check")
 
     monkeypatch.setattr(_CompiledPoly, "__init__", forbidden)
-    monkeypatch.setattr(_CompiledPoly, "vanishes", forbidden)
+    monkeypatch.setattr(_CompiledPoly, "zeros", forbidden)
     with pytest.raises(BudgetExceededError):
         brute_force_points([fermat_line()], 40, budget=_grid_size(2, 40) - 1)
 
@@ -406,7 +417,7 @@ def test_residue_rows_match_reference_kernel():
                     new = _CompiledPoly(f, m)
                     ref = _ReferenceCompiledPoly(f, m)
                     for k in _representatives(n, m, level):
-                        verdict = new.vanishes(k, m)
+                        verdict = _vanishes(new, k, m)
                         assert verdict == ref.vanishes(k, m), (f, m, k)
                         if not f.terms:
                             assert verdict
@@ -420,34 +431,39 @@ def test_residue_rows_match_reference_kernel():
     assert tested > 10 * vanished > 1000
 
 
-def test_residue_rows_are_built_lazily(monkeypatch):
-    # rows are built only for the residues of selected points, those whose
-    # fingerprints sum to 0 mod P, and each once: a scan builds at most one
-    # row per term per selected point.  An eager table would build all
-    # terms * m rows of every order up front
-    init, zeros, row = (_CompiledPoly.__init__, _CompiledPoly.zeros,
-                        _Residues._row)
-    compiled, decided, selected, built = [], {}, {}, {}
+def test_exact_folds_happen_only_at_selected_points(monkeypatch):
+    # the exact test folds one accumulator modulo Phi_big for each point
+    # whose fingerprints sum to 0 mod P, and nothing for the others: a
+    # scan folds at most once per point it decides.  An eager test would
+    # fold at every point of every order
+    init, zeros, reduce = (_CompiledPoly.__init__, _CompiledPoly.zeros,
+                           _Level.reduce)
+    compiled, folds = [], []
+    counts = {"decided": 0, "selected": 0}
 
     def recorded_init(self, f, m, *tables):
         init(self, f, m, *tables)
         compiled.append(self)
 
     def counted_zeros(self, prefix, lasts, m):
-        decided[id(self)] = decided.get(id(self), 0) + len(lasts)
-        selected[id(self)] = selected.get(id(self), 0) + sum(
+        selected = sum(
             not sum(table[(sum(map(mul, head, prefix)) + last * k) % m]
                     for head, last, table in self.terms) % oracle._MODULUS
             for k in lasts)
-        return zeros(self, prefix, lasts, m)
+        before = len(folds)
+        out = zeros(self, prefix, lasts, m)
+        assert len(folds) - before == selected <= len(lasts)
+        counts["decided"] += len(lasts)
+        counts["selected"] += selected
+        return out
 
-    def counted_row(self, r):
-        built[id(self)] = built.get(id(self), 0) + 1
-        return row(self, r)
+    def counted_reduce(self, acc):
+        folds.append(len(acc))
+        return reduce(self, acc)
 
     monkeypatch.setattr(_CompiledPoly, "__init__", recorded_init)
     monkeypatch.setattr(_CompiledPoly, "zeros", counted_zeros)
-    monkeypatch.setattr(_Residues, "_row", counted_row)
+    monkeypatch.setattr(_Level, "reduce", counted_reduce)
     z12 = CyclotomicNumber.zeta(12)
     f = L(1, {(5,): z12, (1,): 1 + z12, (0,): -1})
     # g vanishes on the curve x*y = zeta_12, in full batches and in lists
@@ -455,26 +471,20 @@ def test_residue_rows_are_built_lazily(monkeypatch):
         L(2, {(1, 1): 1, (0, 0): -z12})
     for h, max_order in ((f, 300), (g, 36)):
         compiled.clear()
-        rows = len(h.terms)
+        folds.clear()
+        counts.update(decided=0, selected=0)
         points = brute_force_points([h], max_order)
         assert bool(points) == (h is g)
         assert len(compiled) == max_order
-        total = 0
-        for c in compiled:
-            assert len(c.terms) == rows
-            for _, _, table in c.terms:
-                count = built.get(id(table), 0)
-                assert count == len(table.rows) <= selected.get(id(c), 0) \
-                    <= decided.get(id(c), 0)
-                total += count
-        chosen = sum(selected.get(id(c), 0) for c in compiled)
-        assert total <= chosen * rows
+        # one accumulator of length big = lcm(12, m) per fold
+        assert all(length % 12 == 0 for length in folds)
+        assert len(folds) == counts["selected"] < counts["decided"]
         # every representative of every emitted orbit was selected
-        assert chosen >= len({min(tuple(u * x % p.order for x in p.nums)
-                                  for u in _units(p.order,
-                                                  gcd(p.order, 12)))
-                              for p in points})
-        assert (total > 0) == (h is g)
+        assert len(folds) >= len({min(tuple(u * x % p.order for x in p.nums)
+                                      for u in _units(p.order,
+                                                      gcd(p.order, 12)))
+                                  for p in points})
+        assert bool(folds) == (h is g)
 
 
 def _wide_poly(rng, n, level):
@@ -576,7 +586,7 @@ def test_colliding_fingerprints_are_decided_exactly(monkeypatch, name,
                 new = _CompiledPoly(f, m)
                 ref = _ReferenceCompiledPoly(f, m)
                 for k in _representatives(n, m, level):
-                    assert new.vanishes(k, m) == ref.vanishes(k, m), \
+                    assert _vanishes(new, k, m) == ref.vanishes(k, m), \
                         (f, m, k)
                 prints += [p for _, _, table in new.terms
                            for p in table.values()]
@@ -643,9 +653,28 @@ def test_list_batches_match_reference_kernel():
     assert neighbours > 300
 
 
+def _reference_row(table, r):
+    # the exact row of a term at residue r as the scan once built it
+    # (_Residues._row), kept as the reference for the fingerprints:
+    # power-basis coordinates of den*c_e*zeta_big^(r*big/m) mod Phi_big
+    level = table.powers.level
+    base = r * table.unit
+    row = [0] * level.phi
+    for p, c in table.coeff_positions:
+        k = (base + p) % level.n
+        if k < level.phi:  # a basis vector
+            row[k] += c
+            continue
+        for i, x in enumerate(level.power(k)):
+            if x:
+                row[i] += c * x
+    return row
+
+
 def _reference_fingerprint(table, r):
     # the per-residue formula, with fp(zeta_big^k) from the power basis
-    level, weights = table.level, oracle._weights(table.level.phi)
+    level = table.powers.level
+    weights = oracle._weights(level.phi)
     out = 0
     for p, c in table.coeff_positions:
         k = (r * table.unit + p) % level.n
@@ -691,10 +720,11 @@ def test_class_built_fingerprints_match_per_residue_formula(monkeypatch):
                     assert _span_lanes(span, m, width) == [
                         table[(b + last * k) % m] for k in range(m)]
                 assert sorted(table) == list(range(m))
-                weights = oracle._weights(table.level.phi)
+                weights = oracle._weights(table.powers.level.phi)
                 for r in range(m):
+                    row = _reference_row(table, r)
                     assert table[r] == _reference_fingerprint(table, r) == \
-                        sum(map(mul, table._row(r), weights)) % oracle._MODULUS
+                        sum(map(mul, row, weights)) % oracle._MODULUS
     assert classes == {0, 1, 2}
 
 

@@ -112,17 +112,19 @@ def test_members_are_the_polynomials_their_names_describe():
     assert {1, 3, 4, 8, 12} <= seen
 
 
-def test_a_dropped_candidate_does_not_shift_the_other_names():
-    # x + y - i is not level-minimal: sigma(f)(-x, -y) = -f is dropped
+def test_a_normalized_family_keeps_every_name_in_order():
+    # x + y - i is not level-minimal: sigma(f)(-x, -y) = -f, an internal
+    # error of the family.  Normalized to level 1 it keeps every member,
+    # each under its own name
     z4 = CyclotomicNumber.zeta(4)
     f = L(2, {(1, 0): 1, (0, 1): 1, (0, 0): -z4})
+    _, level, f = minimal_level_normalize(f)
+    assert level == 1
     kind, aux = auxiliary_polynomials(f)
     assert kind == "aux"
-    names = [t for t, _, _ in aux]
-    assert names == [t for t in _all_names(2)
-                     if t != Twist("galois", (-1, -1))]
+    assert [t for t, _, _ in aux] == _all_names(2)
     for twist, cand, _ in aux:
-        assert cand == _described(f, twist, 4)
+        assert cand == _described(f, twist, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +334,10 @@ def test_level3_trivariate_takes_fewer_resultants():
     assert len(rep.cosets) == 33 and all(rep.certificates)
     assert _digest(rep) == "264b527988d675c5"
     assert rep.stats.resultants == 65 < 113
-    # 48 members skipped by their classes, none dropped as multiples of f
+    # 48 members skipped by their classes and every other one eliminated:
+    # the solve's family steps have 113 members in all
     assert rep.stats.as_dict()["skipped_members"] == 48
-    assert rep.stats.dropped_candidates == 0
+    assert rep.stats.resultants + rep.stats.skipped_members == 113
 
 
 def test_four_variable_hypersurface_solves():

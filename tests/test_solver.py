@@ -508,21 +508,31 @@ def test_auxiliary_polynomials_rational():
 
 
 def test_auxiliary_polynomials_gaussian():
-    # 4 | N branch: tau negates z4, so x + y + z4 appears
-    f = poly2({(1, 0): 1, (0, 1): 1, (0, 0): -z4})
+    # 4 | N branch: tau negates z4, so z4*x*y - x - y - 1 appears.  The
+    # input is level-minimal, so all seven members survive (x + y - z4,
+    # which is not, is an internal error: see the test below)
+    f = poly2({(1, 1): z4, (1, 0): 1, (0, 1): 1, (0, 0): 1})
+    _, n, normalized = minimal_level_normalize(f)
+    assert n == 4 and normalized == f
     kind, aux = auxiliary_polynomials(f)
     assert kind == "aux"
-    # this input is not level-minimal (scaling both variables by z4
-    # lands in Q), so the (-1,-1) tau variant degenerates to -f and is
-    # dropped; the other six survive
-    assert len(aux) == 6
-    tau_image = poly2({(1, 0): 1, (0, 1): 1, (0, 0): z4})
+    assert len(aux) == 7
+    tau_image = poly2({(1, 1): z4, (1, 0): -1, (0, 1): -1, (0, 0): 1})
     assert any(p == tau_image for _, p, _ in aux)
     for _, p, _ in aux:
         assert multivariate_gcd(f, p).is_unit()
-    # the solver's normalization sends this f to level 1 anyway
-    _, n, _ = minimal_level_normalize(f)
-    assert n == 1
+
+
+def test_a_member_that_is_a_multiple_of_f_is_an_internal_error():
+    # x + y - i is not level-minimal (scaling both variables by i lands in
+    # Q), and its Galois twist sigma(f)(-x, -y) is -f.  The solver
+    # normalizes f first, so its family never meets such a member
+    f = poly2({(1, 0): 1, (0, 1): 1, (0, 0): -z4})
+    with pytest.raises(RuntimeError, match="internal error"):
+        auxiliary_polynomials(f)
+    rep = hypersurface_cosets(f)
+    assert len(rep.cosets) == 2 and all(rep.certificates)
+    assert cross_check(rep, [f], 16).passed
 
 
 def test_auxiliary_polynomials_odd_level():
@@ -612,8 +622,10 @@ def test_auxiliary_polynomials_matches_gcd_reference():
     # a common factor found by a zero resultant: f(x, -y) keeps x + y^2 + 2
     inputs.append(poly2({(1, 0): 1, (0, 1): 1, (0, 0): 1})
                   * poly2({(1, 0): 1, (0, 2): 1, (0, 0): 2}))
-    # a candidate that is a multiple of f, dropped by both
-    inputs.append(poly2({(1, 0): 1, (0, 1): 1, (0, 0): -z4}))
+    # x + y - i, whose family has a multiple of f, after its level
+    # normalization: none at level 1
+    inputs.append(minimal_level_normalize(
+        poly2({(1, 0): 1, (0, 1): 1, (0, 0): -z4}))[2])
     for f in inputs:
         kind, aux = auxiliary_polynomials(f)
         ref_kind, ref_aux = _auxiliary_by_gcd(f)
@@ -638,17 +650,18 @@ def test_auxiliary_polynomials_splits_off_content():
     assert cross_check(rep, [f], 16).passed
 
 
-def test_dropped_candidates_are_counted_not_logged(caplog):
-    # x + y - i: sigma(f)(-x, -y) = -f is a multiple of f and is dropped.
-    # A full solve first normalizes f to x + y - 1 at level 1, where no
-    # candidate is a multiple of f, so the family step runs on f directly
+def test_family_step_logs_nothing(caplog):
+    # x + y - i normalizes to x + y - 1 at level 1, where the family step
+    # keeps all seven members; neither it nor the whole solve logs
     f = poly2({(1, 0): 1, (0, 1): 1, (0, 0): -z4})
+    _, level, normalized = minimal_level_normalize(f)
+    assert level == 1
     stats = solver.SolveStats()
     with caplog.at_level(logging.DEBUG):
-        solver._solve_full_lattice(f, stats, 0)
+        solver._solve_full_lattice(normalized, stats, 0)
         rep = hypersurface_cosets(f)
-    assert stats.dropped_candidates == 1 and stats.resultants == 6
-    assert rep.stats.dropped_candidates == 0 and len(rep.cosets) == 2
+    assert stats.resultants == 7 and stats.splits == 0
+    assert len(rep.cosets) == 2
     assert caplog.records == []
 
 
